@@ -22,7 +22,6 @@ from .decoders import (
     DecodingResult,
     brute_force_collection_probability,
     decode_cooperative,
-    decode_cooperative_sequential,
     decode_noncooperative,
     mask_monte_carlo,
 )
@@ -40,11 +39,8 @@ from .geometry import (
     AreaEstimate,
     MomentTable,
     MomentTableError,
-    Point2,
     disk_union_area,
-    is_adjacent,
     tabulate_moments,
-    uniform_point,
     uniform_points,
 )
 from .scenario import (

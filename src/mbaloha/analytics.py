@@ -135,23 +135,16 @@ def _first_moments(table: MomentTable, k_max: int | None) -> np.ndarray:
 def zeta(k: int, m: int, r: float) -> float:
     """Sum over d >= k of C(d, k) times the binomial user-degree pmf.
 
-    Evaluated by direct log-space summation; tends to lambda^k / k! for
-    large m at fixed lambda = m r^2 pi.
+    That sum is the k-th factorial moment of Binomial(m, q) over k!, which is
+    C(m, k) q^k with q = r^2 pi; evaluated in log space.  It tends to
+    lambda^k / k! for large m at fixed lambda = m r^2 pi.
     """
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside 1..{m}")
     q = r * r * math.pi
     if not 0.0 < q < 1.0:
         raise ValueError(f"r^2 pi must lie in (0, 1), got {q}")
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    lg_m1 = math.lgamma(m + 1)
-    lg_k1 = math.lgamma(k + 1)
-    terms = []
-    for d in range(k, m + 1):
-        log_binom_pmf = lg_m1 - math.lgamma(d + 1) - math.lgamma(m - d + 1) + d * log_q + (m - d) * log_1mq
-        log_choose = math.lgamma(d + 1) - lg_k1 - math.lgamma(d - k + 1)
-        terms.append(math.exp(log_choose + log_binom_pmf))
-    return math.fsum(terms)
+    return math.exp(math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * math.log(q))
 
 
 def collection_prob_noncoop_asymptotic(

@@ -1,15 +1,19 @@
-"""Decoding algorithms on the station/active-user graph.
+"""Decoding on the station x active-user incidence matrix.
 
-Non-cooperative decoding is one parallel round: a station delivers a user iff
-that user is its only active neighbor.  Cooperative decoding iterates that
-rule as synchronous peeling: every degree-1 station resolves its user, the
-user's edges are removed, and the next round starts; it stops when no
-degree-1 station remains (a stopping set).  The brute-force oracle integrates
-either decoder exactly over all 2^n activation masks of a fixed placement.
+Both decoders are rounds of one rule: a station that hears exactly one
+undecoded active user delivers that user.  Non-cooperative decoding is the
+first round alone.  Cooperative decoding repeats the round after cancelling
+every delivered user's interference at all its stations (synchronous
+peeling) and stops when no such station remains (a stopping set).  The rule
+is written once, in ``_peel``, which decodes a batch of activation masks on
+one matrix at a time.  That serves single slots, the exact oracle that
+integrates both decoders over all 2^n activation masks of a fixed placement,
+and mask Monte Carlo alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,121 +21,78 @@ import numpy as np
 
 from .scenario import BipartiteGraph, NetworkInstance, build_adjacency
 
-NONCOOPERATIVE = "non-cooperative"
-COOPERATIVE = "cooperative"
-
 BRUTE_FORCE_MAX_USERS = 20
+
+# Activation masks decoded per kernel call by the oracles.
+MASK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class DecodingResult:
-    """Outcome of one decode: collected mask plus the per-round trace."""
+    """Outcome of one decode: collected mask plus users collected per round."""
 
     collected: np.ndarray
     iterations_run: int
     per_iteration_collected: list[int]
-    mode: str
-    per_iteration_stations: list[int] | None = None
 
     @property
     def collected_count(self) -> int:
         return int(self.collected.sum())
 
 
-def decode_noncooperative(graph: BipartiteGraph) -> DecodingResult:
-    """Single-round decoding by isolated stations."""
+def _peel(
+    adj: np.ndarray, masks: np.ndarray, max_rounds: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Synchronous peeling of each row of ``masks`` on the incidence matrix ``adj``.
+
+    ``adj`` is (stations, users) and ``masks`` (B, users) marks the active
+    users of each of B decodes.  Returns the users collected in round one
+    (non-cooperative), the users collected when peeling stops
+    (cooperative), both (B, users), and the users collected per round,
+    (B, rounds), zero-padded after a row's last round.  A user delivered by
+    several stations in one round counts once.  ``max_rounds`` stops
+    peeling early.
+    """
+    hear = adj.astype(np.float64)
+    left = masks.copy()
+    rounds = []
+    while max_rounds is None or len(rounds) < max_rounds:
+        alone = (left @ hear.T) == 1.0
+        got = left & ((alone @ hear) > 0.0)
+        if not got.any():
+            break
+        rounds.append(got)
+        left &= ~got
+    first = rounds[0] if rounds else np.zeros_like(masks)
+    per_round = np.array([got.sum(axis=1) for got in rounds], dtype=np.int64).reshape(-1, len(masks))
+    return first, masks & ~left, per_round.T
+
+
+def _decode(graph: BipartiteGraph, cooperative: bool) -> DecodingResult:
+    _, collected_cols, per_round = _peel(
+        graph.adj, np.ones((1, graph.users.size), dtype=bool), None if cooperative else 1
+    )
     collected = np.zeros(graph.n_users, dtype=bool)
-    stations = 0
-    for nbrs in graph.station_neighbors:
-        if len(nbrs) == 1:
-            collected[nbrs[0]] = True
-            stations += 1
-    return DecodingResult(collected, 1, [int(collected.sum())], NONCOOPERATIVE, [stations])
+    collected[graph.users] = collected_cols[0]
+    if cooperative:
+        return DecodingResult(collected, per_round.shape[1], per_round[0].tolist())
+    return DecodingResult(collected, 1, [int(collected_cols.sum())])
+
+
+def decode_noncooperative(graph: BipartiteGraph) -> DecodingResult:
+    """Single-round decoding by stations that hear one active user."""
+    return _decode(graph, cooperative=False)
 
 
 def decode_cooperative(graph: BipartiteGraph) -> DecodingResult:
-    """Parallel-round peeling on the decoding graph.
-
-    Round t resolves all currently degree-1 stations at once; duplicate
-    deliveries of the same user within a round count once.  The input graph
-    is not mutated.
-    """
-    deg = [len(nbrs) for nbrs in graph.station_neighbors]
-    # Sum-of-neighbors trick: once deg[l] == 1 the sum IS the remaining user.
-    rem = [sum(nbrs) for nbrs in graph.station_neighbors]
-    collected = np.zeros(graph.n_users, dtype=bool)
-    trace: list[int] = []
-    station_trace: list[int] = []
-    iterations = 0
-    while True:
-        fired = [l for l in range(graph.n_stations) if deg[l] == 1]
-        if not fired:
-            break
-        ready = sorted({rem[l] for l in fired})
-        iterations += 1
-        trace.append(len(ready))
-        station_trace.append(len(fired))
-        for u in ready:
-            collected[u] = True
-            for l in graph.user_neighbors[u]:
-                deg[l] -= 1
-                rem[l] -= u
-    assert iterations <= graph.n_stations
-    return DecodingResult(collected, iterations, trace, COOPERATIVE, station_trace)
+    """Parallel-round peeling on the decoding graph; the graph is not mutated."""
+    return _decode(graph, cooperative=True)
 
 
-def decode_cooperative_sequential(
-    graph: BipartiteGraph, rng: np.random.Generator | None = None
-) -> DecodingResult:
-    """Peeling one degree-1 station at a time, in random order.
-
-    Differential-test oracle for the parallel-round decoder: the final
-    collected set must coincide for every processing order.
-    """
-    deg = [len(nbrs) for nbrs in graph.station_neighbors]
-    rem = [sum(nbrs) for nbrs in graph.station_neighbors]
-    collected = np.zeros(graph.n_users, dtype=bool)
-    trace: list[int] = []
-    while True:
-        ready = [l for l in range(graph.n_stations) if deg[l] == 1]
-        if not ready:
-            break
-        l = ready[0] if rng is None else ready[int(rng.integers(len(ready)))]
-        u = rem[l]
-        collected[u] = True
-        trace.append(1)
-        for k in graph.user_neighbors[u]:
-            deg[k] -= 1
-            rem[k] -= u
-    return DecodingResult(collected, len(trace), trace, COOPERATIVE, [1] * len(trace))
-
-
-def subgraph_for_mask(
-    n_users: int,
-    full_station_neighbors: list[list[int]],
-    full_user_neighbors: dict[int, list[int]],
-    mask,
-) -> BipartiteGraph:
-    """Restrict a full (all-users) adjacency to one activation mask."""
-    station_neighbors = [[u for u in nbrs if mask[u]] for nbrs in full_station_neighbors]
-    user_neighbors = {u: full_user_neighbors[u] for u in range(n_users) if mask[u]}
-    return BipartiteGraph(
-        n_users=n_users,
-        n_stations=len(full_station_neighbors),
-        station_neighbors=station_neighbors,
-        user_neighbors=user_neighbors,
-    )
-
-
-def full_adjacency(instance: NetworkInstance) -> BipartiteGraph:
-    """Adjacency over all users regardless of activity (mask applied later)."""
-    forced = NetworkInstance(
-        instance.params,
-        instance.user_xy,
-        instance.station_xy,
-        np.ones(instance.params.n, dtype=bool),
-    )
-    return build_adjacency(forced)
+def _all_users_adjacency(instance: NetworkInstance) -> np.ndarray:
+    """Incidence matrix over every user, whatever the instance's own mask."""
+    everyone = np.ones(instance.params.n, dtype=bool)
+    return build_adjacency(dataclasses.replace(instance, active=everyone)).adj
 
 
 class CollectionProbabilities(NamedTuple):
@@ -147,7 +108,9 @@ def brute_force_collection_probability(
     """Exact P(user collected) by enumerating all 2^n activation masks.
 
     The instance's own mask is ignored; each subset S of users is weighted
-    p^|S| (1-p)^(n-|S|) and both decoders run on the induced subgraph.
+    p^|S| (1-p)^(n-|S|).  Masks are decoded in blocks of ``MASK_BLOCK``, and
+    per user the masks collecting it are counted exactly by subset size
+    before the weights are applied, so memory does not grow with 2^n.
     """
     n = instance.params.n
     if n > BRUTE_FORCE_MAX_USERS:
@@ -156,21 +119,20 @@ def brute_force_collection_probability(
         p = instance.params.p
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    full = full_adjacency(instance)
-    prob_nc = np.zeros(n)
-    prob_coop = np.zeros(n)
-    mask = np.zeros(n, dtype=bool)
-    for bits in range(1 << n):
-        active = [i for i in range(n) if bits >> i & 1]
-        weight = p ** len(active) * (1.0 - p) ** (n - len(active))
-        if weight == 0.0:
-            continue
-        mask[:] = False
-        mask[active] = True
-        sub = subgraph_for_mask(n, full.station_neighbors, full.user_neighbors, mask)
-        prob_nc += weight * decode_noncooperative(sub).collected
-        prob_coop += weight * decode_cooperative(sub).collected
-    return CollectionProbabilities(prob_nc, prob_coop)
+    adj = _all_users_adjacency(instance)
+    bits = 1 << np.arange(n)
+    # counts[s, u]: masks with s active users in which user u is collected
+    counts_nc = np.zeros((n + 1, n))
+    counts_coop = np.zeros((n + 1, n))
+    for lo in range(0, 1 << n, MASK_BLOCK):
+        masks = (np.arange(lo, min(lo + MASK_BLOCK, 1 << n))[:, None] & bits) != 0
+        size = np.eye(n + 1)[masks.sum(axis=1)]
+        first, final, _ = _peel(adj, masks)
+        counts_nc += size.T @ first
+        counts_coop += size.T @ final
+    sizes = np.arange(n + 1)
+    weights = p**sizes * (1.0 - p) ** (n - sizes)
+    return CollectionProbabilities(weights @ counts_nc, weights @ counts_coop)
 
 
 class MaskMonteCarlo(NamedTuple):
@@ -191,37 +153,23 @@ def mask_monte_carlo(
 ) -> MaskMonteCarlo:
     """Estimate per-user collection probabilities over random activation masks.
 
-    Runs the real decoders mask by mask; the unconditional per-user estimate
-    is (times collected)/n_masks with its binomial standard error.
+    Masks are drawn and decoded ``MASK_BLOCK`` at a time; the unconditional
+    per-user estimate is (times collected)/n_masks with its binomial
+    standard error.
     """
     n = instance.params.n
     if p is None:
         p = instance.params.p
-    full = full_adjacency(instance)
+    adj = _all_users_adjacency(instance)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     hits_nc = np.zeros(n, dtype=np.int64)
     hits_coop = np.zeros(n, dtype=np.int64)
-    block = 4096
-    remaining = n_masks
-    while remaining > 0:
-        b = min(block, remaining)
-        masks = rng.random((b, n)) < p
-        for row in masks:
-            sub = subgraph_for_mask(n, full.station_neighbors, full.user_neighbors, row)
-            hits_nc += decode_noncooperative(sub).collected
-            hits_coop += decode_cooperative(sub).collected
-        remaining -= b
+    for lo in range(0, n_masks, MASK_BLOCK):
+        masks = rng.random((min(MASK_BLOCK, n_masks - lo), n)) < p
+        first, final, _ = _peel(adj, masks)
+        hits_nc += first.sum(axis=0)
+        hits_coop += final.sum(axis=0)
     ph_nc = hits_nc / n_masks
     ph_coop = hits_coop / n_masks
     se = lambda ph: np.sqrt(ph * (1.0 - ph) / n_masks)
     return MaskMonteCarlo(ph_nc, ph_coop, se(ph_nc), se(ph_coop), n_masks)
-
-
-def format_trace(result: DecodingResult) -> str:
-    """Per-iteration trace dump for debugging fixtures."""
-    lines = [f"mode {result.mode}", f"iterations {result.iterations_run}"]
-    stations = result.per_iteration_stations or [0] * result.iterations_run
-    for t, (n_stations, count) in enumerate(zip(stations, result.per_iteration_collected), start=1):
-        lines.append(f"iteration {t} stations_resolved {n_stations} collected {count}")
-    lines.append(f"total {result.collected_count}")
-    return "\n".join(lines) + "\n"

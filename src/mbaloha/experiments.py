@@ -123,7 +123,7 @@ def _simulate_runs(args) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
     for i, run in enumerate(range(lo, hi)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, n, run]))
         graph = build_adjacency(generate_instance(params, rng))
-        active[i] = len(graph.user_neighbors)
+        active[i] = graph.users.size
         coll_nc[i] = decode_noncooperative(graph).collected_count
         coll_coop[i] = decode_cooperative(graph).collected_count
     return n, lo, active, coll_nc, coll_coop
@@ -158,7 +158,10 @@ def sweep_load(config: SweepConfig, workers: int | None = None) -> list[SweepRow
             )
 
     points = [(g, config.realized_users(g)) for g in config.g_grid]
-    chunk = max(1, math.ceil(config.runs_per_point / 8))
+    # Split a point's runs only as far as it takes to give every worker a job.
+    procs = workers if workers is not None and workers > 1 else 1
+    live = sum(1 for _, n in points if n > 0)
+    chunk = math.ceil(config.runs_per_point / math.ceil(procs / max(live, 1)))
     jobs = [
         (config.m, config.p, config.r, n, config.seed, lo, min(lo + chunk, config.runs_per_point))
         for _, n in points
@@ -166,8 +169,8 @@ def sweep_load(config: SweepConfig, workers: int | None = None) -> list[SweepRow
         for lo in range(0, config.runs_per_point, chunk)
     ]
     results: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if procs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             for n, lo, act, nc, coop in pool.map(_simulate_runs, jobs, chunksize=1):
                 results[(n, lo)] = (act, nc, coop)
     else:

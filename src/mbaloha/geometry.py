@@ -1,4 +1,4 @@
-"""Random placements, disk adjacency, and union-of-disks area moments.
+"""Random placements and union-of-disks area moments.
 
 The normalized union area alpha_k (area of k unit disks with centers drawn
 uniformly in the unit disk, divided by pi) is supported on [1, 4]; its
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,49 +24,15 @@ class MomentTableError(ValueError):
     """Raised when a moment table file is malformed or violates invariants."""
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A position inside the closed unit square centered at the origin."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (abs(self.x) <= HALF_SIDE and abs(self.y) <= HALF_SIDE):
-            raise ValueError(f"point ({self.x}, {self.y}) outside the unit square")
-
-
-def uniform_point(rng: np.random.Generator) -> Point2:
-    """Draw one point uniformly from the unit square."""
-    x, y = rng.uniform(-HALF_SIDE, HALF_SIDE, size=2)
-    return Point2(float(x), float(y))
-
-
 def uniform_points(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. uniform points as a (count, 2) array.
 
-    Consumes the stream exactly like ``count`` successive ``uniform_point``
-    calls.
+    Each point takes its x then its y from the stream, so a prefix of the
+    rows is what a call for fewer points would return.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     return rng.uniform(-HALF_SIDE, HALF_SIDE, size=(count, 2))
-
-
-def _xy(p) -> tuple[float, float]:
-    if isinstance(p, Point2):
-        return p.x, p.y
-    x, y = p
-    return float(x), float(y)
-
-
-def is_adjacent(u, b, r: float) -> bool:
-    """Closed-ball adjacency test: Euclidean distance(u, b) <= r."""
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    ux, uy = _xy(u)
-    bx, by = _xy(b)
-    return (ux - bx) ** 2 + (uy - by) ** 2 <= r * r
 
 
 class AreaEstimate(NamedTuple):
@@ -77,10 +43,7 @@ class AreaEstimate(NamedTuple):
 
 
 def _centers_array(centers) -> np.ndarray:
-    if isinstance(centers, np.ndarray):
-        arr = np.asarray(centers, dtype=float)
-    else:
-        arr = np.asarray([_xy(c) for c in centers], dtype=float)
+    arr = np.asarray(centers, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ValueError("centers must be a nonempty sequence of 2-d points")
     norms2 = (arr**2).sum(axis=1)

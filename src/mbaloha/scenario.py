@@ -16,8 +16,6 @@ import numpy as np
 
 from .geometry import HALF_SIDE, uniform_points
 
-REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -41,8 +39,6 @@ class SystemParams:
             raise ValueError(f"r must lie in (0, 1/4], got {self.r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if abs(self.psi - self.load_g * self.lam) > REL_TOL * max(1.0, self.psi):
-            raise ValueError("inconsistent derived load: psi != G * lambda")
 
     @property
     def load_g(self) -> float:
@@ -89,17 +85,24 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Station <-> active-user adjacency of one realization.
+    """Station x active-user incidence matrix of one realization.
 
-    ``station_neighbors[l]`` lists the active users within distance r of
-    station l; ``user_neighbors`` maps every active user (including isolated
-    ones) to its stations.  Inactive users appear nowhere.
+    ``adj[l, j]`` is True when station l hears the j-th active user, whose
+    user index is ``users[j]``.  Inactive users have no column.
     """
 
     n_users: int
-    n_stations: int
-    station_neighbors: list[list[int]]
-    user_neighbors: dict[int, list[int]]
+    adj: np.ndarray
+    users: np.ndarray
+
+    @property
+    def n_stations(self) -> int:
+        return self.adj.shape[0]
+
+    @property
+    def station_neighbors(self) -> list[list[int]]:
+        """Per-station lists of the user indices each station hears (a copy)."""
+        return [self.users[row].tolist() for row in self.adj]
 
 
 def generate_instance(params: SystemParams, rng: np.random.Generator) -> NetworkInstance:
@@ -111,26 +114,12 @@ def generate_instance(params: SystemParams, rng: np.random.Generator) -> Network
 
 
 def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
-    """Exhaustive all-pairs distance test between stations and active users."""
-    r2 = instance.params.r**2
-    active_idx = np.flatnonzero(instance.active)
-    m = instance.params.m
-    station_neighbors: list[list[int]] = [[] for _ in range(m)]
-    user_neighbors: dict[int, list[int]] = {int(u): [] for u in active_idx}
-    if active_idx.size:
-        diff = instance.station_xy[:, None, :] - instance.user_xy[None, active_idx, :]
-        adj = (diff**2).sum(axis=2) <= r2
-        ls, js = np.nonzero(adj)
-        for l, j in zip(ls.tolist(), js.tolist()):
-            u = int(active_idx[j])
-            station_neighbors[l].append(u)
-            user_neighbors[u].append(l)
-    return BipartiteGraph(
-        n_users=instance.params.n,
-        n_stations=m,
-        station_neighbors=station_neighbors,
-        user_neighbors=user_neighbors,
-    )
+    """All-pairs closed-disk test between stations and active users."""
+    users = np.flatnonzero(instance.active)
+    dx = instance.station_xy[:, 0, None] - instance.user_xy[None, users, 0]
+    dy = instance.station_xy[:, 1, None] - instance.user_xy[None, users, 1]
+    adj = dx * dx + dy * dy <= instance.params.r**2
+    return BipartiteGraph(n_users=instance.params.n, adj=adj, users=users)
 
 
 def _binom_pmf(d: int, total: int, q: float) -> float:

@@ -76,6 +76,13 @@ class TestZeta:
         closed = math.comb(m, k) * q**k
         assert zeta(k, m, r) == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("m,k,r", [(10, 2, 0.1), (60, 4, 0.07), (7, 7, 0.2)])
+    def test_matches_defining_sum(self, m, k, r):
+        # the definition: sum over d >= k of C(d, k) times the Binomial(m, q) pmf at d
+        q = r * r * math.pi
+        terms = [math.comb(d, k) * math.comb(m, d) * q**d * (1 - q) ** (m - d) for d in range(k, m + 1)]
+        assert zeta(k, m, r) == pytest.approx(math.fsum(terms), rel=1e-10)
+
     def test_large_m_poisson_limit(self):
         m = 10_000
         r = math.sqrt(3.0 / (m * math.pi))

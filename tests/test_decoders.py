@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,17 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import rng_from
 from mbaloha.decoders import (
+    MASK_BLOCK,
+    _peel,
     brute_force_collection_probability,
     decode_cooperative,
-    decode_cooperative_sequential,
     decode_noncooperative,
-    format_trace,
-    full_adjacency,
     mask_monte_carlo,
-    subgraph_for_mask,
 )
 from mbaloha.scenario import NetworkInstance, SystemParams, build_adjacency, generate_instance
-from topologies import four_cycle, graph_from_station_lists, ten_user_showcase, two_station_chain
+from topologies import (
+    decode_cooperative_sequential,
+    four_cycle,
+    graph_from_station_lists,
+    ten_user_showcase,
+    two_station_chain,
+)
 
 small_params = st.builds(
     SystemParams,
@@ -78,9 +84,17 @@ class TestCooperative:
 
     def test_input_graph_not_mutated(self):
         graph = ten_user_showcase()
-        before = [list(nbrs) for nbrs in graph.station_neighbors]
+        before = graph.adj.copy()
         decode_cooperative(graph)
-        assert graph.station_neighbors == before
+        assert np.array_equal(graph.adj, before)
+
+    def test_inactive_users_have_no_column(self):
+        # users 1 and 3 inactive: station 0 hears u0 alone, station 1 hears u2
+        graph = graph_from_station_lists(4, [[0], [0, 2]], active=[0, 2])
+        assert graph.adj.shape == (2, 2)
+        result = decode_cooperative(graph)
+        assert result.collected.tolist() == [True, False, True, False]
+        assert result.per_iteration_collected == [1, 1]
 
 
 class TestDecodingInvariants:
@@ -98,9 +112,8 @@ class TestDecodingInvariants:
         assert all(c >= 1 for c in coop.per_iteration_collected)
         assert sum(coop.per_iteration_collected) == coop.collected_count
         # collected users are active and covered
-        for u in np.flatnonzero(coop.collected):
-            assert int(u) in graph.user_neighbors
-            assert len(graph.user_neighbors[int(u)]) >= 1
+        covered = graph.users[graph.adj.any(axis=0)]
+        assert set(np.flatnonzero(coop.collected).tolist()) <= set(covered.tolist())
 
     def test_confluence_parallel_vs_sequential_bulk(self):
         # randomized differential test over 10^4 instances
@@ -179,19 +192,59 @@ class TestBruteForce:
             assert z.max() <= 4.0  # 8 users x 2 modes, allow a sane max-z
 
 
-class TestSubgraph:
-    def test_mask_restriction(self):
-        params = SystemParams(n=3, m=2, r=0.25, p=0.5)
-        inst = generate_instance(params, rng_from(5))
-        full = full_adjacency(inst)
-        mask = np.array([True, False, True])
-        sub = subgraph_for_mask(3, full.station_neighbors, full.user_neighbors, mask)
-        assert 1 not in sub.user_neighbors
-        for nbrs in sub.station_neighbors:
-            assert 1 not in nbrs
+class TestBatchedKernel:
+    def test_every_mask_matches_single_graph_path(self):
+        params = SystemParams(n=9, m=5, r=0.22, p=0.5)
+        inst = generate_instance(params, rng_from(31))
+        everyone = build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool)))
+        masks = np.array(list(itertools.product([False, True], repeat=params.n)))
+        first, final, per_round = _peel(everyone.adj, masks)
+        assert first.shape == final.shape == masks.shape
+        for b, mask in enumerate(masks):
+            graph = build_adjacency(dataclasses.replace(inst, active=mask))
+            nc = decode_noncooperative(graph)
+            coop = decode_cooperative(graph)
+            assert np.array_equal(first[b], nc.collected)
+            assert np.array_equal(final[b], coop.collected)
+            rounds = per_round[b].tolist()
+            assert rounds[: coop.iterations_run] == coop.per_iteration_collected
+            assert not any(rounds[coop.iterations_run :])
 
-    def test_trace_format(self):
-        result = decode_cooperative(ten_user_showcase())
-        text = format_trace(result)
-        assert "iteration 1 stations_resolved 4 collected 4" in text
-        assert "total 9" in text
+    def test_no_users(self):
+        first, final, per_round = _peel(np.zeros((3, 0), bool), np.zeros((1, 0), bool))
+        assert first.shape == final.shape == (1, 0)
+        assert per_round.shape == (1, 0)
+
+
+def noncoop_inclusion_exclusion(adj: np.ndarray, p: float) -> np.ndarray:
+    """P(user collected by a single round) from inclusion-exclusion over its stations.
+
+    User u is collected iff it is active and some station of u hears no other
+    active user: the union over u's stations l of the events "every other
+    user heard by l is inactive".
+    """
+    out = np.zeros(adj.shape[1])
+    for u in range(adj.shape[1]):
+        stations = np.flatnonzero(adj[:, u]).tolist()
+        terms = []
+        for size in range(1, len(stations) + 1):
+            for subset in itertools.combinations(stations, size):
+                others = adj[list(subset)].any(axis=0)
+                others[u] = False
+                terms.append((-1) ** (size + 1) * (1.0 - p) ** int(others.sum()))
+        out[u] = p * math.fsum(terms)
+    return out
+
+
+class TestEnumerationBlocks:
+    def test_multi_block_enumeration_matches_inclusion_exclusion(self):
+        params = SystemParams(n=14, m=5, r=0.25, p=0.4)
+        assert 2**params.n >= 4 * MASK_BLOCK
+        inst = generate_instance(params, rng_from(1414))
+        adj = build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool))).adj
+        exact = brute_force_collection_probability(inst)
+        want = noncoop_inclusion_exclusion(adj, params.p)
+        # some users interfere: collected with probability strictly between 0 and p
+        assert np.any((want > 0.0) & (want < params.p - 1e-9))
+        assert np.allclose(exact.noncooperative, want, rtol=0, atol=1e-13)
+        assert np.all(exact.cooperative >= exact.noncooperative - 1e-15)

@@ -10,16 +10,14 @@ from mbaloha.geometry import (
     AreaEstimate,
     MomentTable,
     MomentTableError,
-    Point2,
     disk_union_area,
     format_moment_table,
-    is_adjacent,
     parse_moment_table,
     sample_unit_disk,
     tabulate_moments,
-    uniform_point,
     uniform_points,
 )
+from points import Point2, is_adjacent, uniform_point
 
 # Closed-form union of two unit circles one center-distance apart
 # (2*pi - (2*acos(1/2) - (1/2)*sqrt(3))) / pi, worked out before the build.

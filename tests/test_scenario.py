@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import rng_from
-from mbaloha.geometry import is_adjacent
 from mbaloha.scenario import (
     NetworkInstance,
     SystemParams,
@@ -23,6 +22,7 @@ from mbaloha.scenario import (
     station_degree_pmf,
     user_degree_pmf,
 )
+from points import is_adjacent
 
 small_params = st.builds(
     SystemParams,
@@ -87,16 +87,18 @@ class TestBuildAdjacency:
         inst = generate_instance(params, rng_from(1))
         inst = NetworkInstance(params, inst.user_xy, inst.station_xy, np.zeros(4, dtype=bool))
         graph = build_adjacency(inst)
+        assert graph.adj.shape == (3, 0)
+        assert graph.users.size == 0
         assert all(len(nbrs) == 0 for nbrs in graph.station_neighbors)
-        assert graph.user_neighbors == {}
 
     def test_single_user_at_station(self):
         params = SystemParams(n=1, m=1, r=0.1, p=1.0)
         xy = np.array([[0.25, -0.25]])
         inst = NetworkInstance(params, xy, xy.copy(), np.ones(1, dtype=bool))
         graph = build_adjacency(inst)
+        assert graph.adj.tolist() == [[True]]
+        assert graph.users.tolist() == [0]
         assert graph.station_neighbors == [[0]]
-        assert graph.user_neighbors == {0: [0]}
 
     def test_hand_placed_ten_users_four_stations(self):
         # Cluster-style layout: stations in a loose square, users scattered.
@@ -123,16 +125,17 @@ class TestBuildAdjacency:
     @staticmethod
     def _check_against_bruteforce(inst, graph):
         # independent O(n*m) recheck straight from is_adjacent
-        for l in range(inst.params.m):
-            for i in range(inst.params.n):
-                expected = bool(inst.active[i]) and is_adjacent(
-                    inst.user_xy[i], inst.station_xy[l], inst.params.r
-                )
-                assert (i in graph.station_neighbors[l]) == expected
-                in_user_list = i in graph.user_neighbors and l in graph.user_neighbors[i]
-                assert in_user_list == expected
-        for i in graph.user_neighbors:
-            assert inst.active[i]
+        assert graph.users.tolist() == np.flatnonzero(inst.active).tolist()
+        expected = np.array(
+            [
+                [is_adjacent(inst.user_xy[i], inst.station_xy[l], inst.params.r) for i in graph.users]
+                for l in range(inst.params.m)
+            ],
+            dtype=bool,
+        ).reshape(graph.adj.shape)
+        assert np.array_equal(graph.adj, expected)
+        for l, nbrs in enumerate(graph.station_neighbors):
+            assert nbrs == graph.users[expected[l]].tolist()
 
 
 class TestDegreeDistributions:
@@ -215,8 +218,7 @@ class TestEmpiricalDegrees:
                 NetworkInstance(params, inst.user_xy, inst.station_xy, np.ones(params.n, bool))
             )
             nominal = nominal_user_mask(inst)
-            for u in np.flatnonzero(nominal):
-                degrees.append(len(graph.user_neighbors[int(u)]))
+            degrees.extend(graph.adj[:, nominal].sum(axis=0).tolist())
         degrees = np.asarray(degrees, dtype=float)
         se = degrees.std(ddof=1) / math.sqrt(len(degrees))
         assert abs(degrees.mean() - lam) <= 3 * se
@@ -232,9 +234,7 @@ class TestEmpiricalDegrees:
             run += 1
             graph = build_adjacency(inst)
             nominal = nominal_station_mask(inst)
-            for l in np.flatnonzero(nominal):
-                deg = sum(1 for u in graph.station_neighbors[l] if u != 0)
-                samples.append(deg)
+            samples.extend(graph.adj[nominal][:, graph.users != 0].sum(axis=1).tolist())
         samples = np.asarray(samples)
         max_d = int(samples.max())
         observed = np.bincount(samples, minlength=max_d + 1).astype(float)

@@ -1,21 +1,40 @@
-"""Hand-built decoding-graph fixtures with hand-executed expected outcomes."""
+"""Hand-built incidence matrices with hand-executed expected outcomes, and a
+sequential peeling decoder used as the differential reference."""
 
+import numpy as np
+
+from mbaloha.decoders import DecodingResult
 from mbaloha.scenario import BipartiteGraph
 
 
 def graph_from_station_lists(n_users: int, station_neighbors: list[list[int]], active=None) -> BipartiteGraph:
-    if active is None:
-        active = range(n_users)
-    user_neighbors: dict[int, list[int]] = {u: [] for u in active}
-    for l, nbrs in enumerate(station_neighbors):
-        for u in nbrs:
-            user_neighbors[u].append(l)
-    return BipartiteGraph(
-        n_users=n_users,
-        n_stations=len(station_neighbors),
-        station_neighbors=[list(nbrs) for nbrs in station_neighbors],
-        user_neighbors=user_neighbors,
-    )
+    """Incidence matrix whose columns are the ``active`` users (default: all)."""
+    users = np.arange(n_users) if active is None else np.asarray(sorted(active), dtype=np.int64)
+    adj = np.array([[u in nbrs for u in users.tolist()] for nbrs in station_neighbors], dtype=bool)
+    return BipartiteGraph(n_users=n_users, adj=adj.reshape(len(station_neighbors), users.size), users=users)
+
+
+def decode_cooperative_sequential(
+    graph: BipartiteGraph, rng: np.random.Generator | None = None
+) -> DecodingResult:
+    """Peeling one degree-1 station at a time, in random order.
+
+    The final collected set of peeling does not depend on the order, so it
+    must coincide with the parallel-round decoder's for every order.
+    """
+    left = graph.adj.copy()
+    collected = np.zeros(graph.n_users, dtype=bool)
+    rounds = 0
+    while True:
+        ready = np.flatnonzero(left.sum(axis=1) == 1)
+        if not ready.size:
+            break
+        l = ready[0] if rng is None else ready[int(rng.integers(ready.size))]
+        j = int(np.flatnonzero(left[l])[0])
+        collected[graph.users[j]] = True
+        left[:, j] = False
+        rounds += 1
+    return DecodingResult(collected, rounds, [1] * rounds)
 
 
 def ten_user_showcase() -> BipartiteGraph:
