@@ -3,7 +3,8 @@
 The normalized union area alpha_k (area of k unit disks with centers drawn
 uniformly in the unit disk, divided by pi) is supported on [1, 4]; its
 moments drive the analytic decoding-probability formulas.  Moments are
-estimated by plain Monte Carlo and cached to a plain-text table.
+estimated by plain Monte Carlo on nested placements, whose first k of k_max
+centers give alpha_k, and cached to a plain-text table.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ def uniform_points(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 class AreaEstimate(NamedTuple):
-    """Monte Carlo estimate of a normalized union-of-disks area."""
+    """Monte Carlo estimates; entry j-1 is for the union of the first j disks."""
 
-    alpha: float
-    stderr: float
+    alpha: np.ndarray
+    stderr: np.ndarray
 
 
 def _centers_array(centers) -> np.ndarray:
@@ -53,17 +54,20 @@ def _centers_array(centers) -> np.ndarray:
 
 
 def disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> AreaEstimate:
-    """Estimate area(union of unit disks at ``centers``) / pi by rejection counting.
+    """Estimate area(union of the first j unit disks at ``centers``) / pi for every j.
 
     Sampling is uniform over the square [-2, 2]^2, which contains every
-    admissible union; the hit fraction is rescaled by 16/pi.  Returns the
-    estimate together with its binomial standard error.
+    admissible union.  Each point is tallied under the first disk covering
+    it, so running sums of the tallies count the points in each prefix
+    union, nondecreasing in j.  Hit fractions are rescaled by 16/pi and
+    returned with their binomial standard errors.
     """
     arr = _centers_array(centers)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    k = len(arr)
     scale = 16.0 / math.pi
-    hits = 0
+    first_hits = np.zeros(k + 1, dtype=np.int64)
     remaining = n_samples
     c_norm2 = (arr**2).sum(axis=1)
     # Chunked so huge sample counts stay within a few MB of temporaries.
@@ -74,11 +78,13 @@ def disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> AreaEs
         d2 *= -2.0
         d2 += (pts**2).sum(axis=1)[:, None]
         d2 += c_norm2[None, :]
-        hits += int((d2 <= 1.0).any(axis=1).sum())
+        inside = d2 <= 1.0
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1), k)
+        first_hits += np.bincount(first, minlength=k + 1)
         remaining -= block
-    frac = hits / n_samples
+    frac = np.cumsum(first_hits[:k]) / n_samples
     alpha = scale * frac
-    stderr = scale * math.sqrt(frac * (1.0 - frac) / n_samples)
+    stderr = scale * np.sqrt(frac * (1.0 - frac) / n_samples)
     return AreaEstimate(alpha, stderr)
 
 
@@ -218,7 +224,7 @@ def parse_moment_table(text: str) -> MomentTable:
 def _lens_area(t: np.ndarray) -> np.ndarray:
     """Intersection area of two unit disks with centers ``t`` apart (t <= 2)."""
     half = np.clip(t / 2.0, 0.0, 1.0)
-    return 2.0 * np.arccos(half) - half * np.sqrt(np.clip(4.0 - t * t, 0.0, None)) * 1.0
+    return 2.0 * np.arccos(half) - half * np.sqrt(np.clip(4.0 - t * t, 0.0, None))
 
 
 def mean_alpha_quadrature(k: int, intervals: int = 200_000) -> float:
@@ -263,17 +269,14 @@ def quadrature_first_moments(k_max: int) -> MomentTable:
     )
 
 
-def _placement_alpha(seed: int, k: int, placement: int, samples: int) -> float:
-    """One placement's area estimate from its own derived substream."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, k, placement]))
-    centers = sample_unit_disk(rng, k)
-    return disk_union_area(centers, samples, rng).alpha
-
-
-def _alpha_block(args) -> tuple[int, int, np.ndarray]:
-    seed, k, lo, hi, samples = args
-    vals = np.array([_placement_alpha(seed, k, j, samples) for j in range(lo, hi)])
-    return k, lo, vals
+def _alpha_block(args) -> np.ndarray:
+    """alpha_2..alpha_k_max of placements lo..hi-1, one row per placement."""
+    seed, k_max, lo, hi, samples = args
+    rows = []
+    for j in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
+        rows.append(disk_union_area(sample_unit_disk(rng, k_max), samples, rng).alpha[1:])
+    return np.array(rows)
 
 
 def tabulate_moments(
@@ -286,10 +289,11 @@ def tabulate_moments(
 ) -> MomentTable:
     """Monte Carlo tabulation of the moments ``E[alpha_k^s]``.
 
-    Each (k, placement) pair samples from an independent substream derived
-    from ``(seed, k, placement)``, so the result is identical for any worker
-    count.  Workers only produce per-placement alpha values; moments are
-    computed in a single aggregation pass.
+    Each placement nests k = 2..k_max: its first k centers give alpha_k,
+    all from one point set.  Placement j samples from an independent
+    substream derived from ``(seed, j)``, so the result is identical for any
+    worker count.  Workers only produce per-placement alpha values; moments
+    are computed in a single aggregation pass, one k at a time.
     """
     for name, v in (
         ("k_max", k_max),
@@ -302,25 +306,21 @@ def tabulate_moments(
 
     block = 128
     jobs = [
-        (seed, k, lo, min(lo + block, placements_per_k), samples_per_placement)
-        for k in range(2, k_max + 1)
-        for lo in range(0, placements_per_k, block)
+        (seed, k_max, lo, min(lo + block, placements_per_k), samples_per_placement)
+        for lo in range(0, placements_per_k if k_max > 1 else 0, block)
     ]
-    alphas = {k: np.empty(placements_per_k) for k in range(2, k_max + 1)}
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, lo, vals in pool.map(_alpha_block, jobs, chunksize=4):
-                alphas[k][lo : lo + len(vals)] = vals
+            blocks = list(pool.map(_alpha_block, jobs))
     else:
-        for job in jobs:
-            k, lo, vals = _alpha_block(job)
-            alphas[k][lo : lo + len(vals)] = vals
+        blocks = [_alpha_block(job) for job in jobs]
+    alphas = np.concatenate(blocks) if blocks else None
 
     moments = np.ones((k_max, s_max))
     stderrs = np.zeros((k_max, s_max))
     powers = np.arange(1, s_max + 1)
     for k in range(2, k_max + 1):
-        pw = alphas[k][:, None] ** powers[None, :]
+        pw = alphas[:, k - 2, None] ** powers[None, :]
         moments[k - 1] = pw.mean(axis=0)
         if placements_per_k > 1:
             stderrs[k - 1] = pw.std(axis=0, ddof=1) / math.sqrt(placements_per_k)

@@ -28,16 +28,26 @@ def table_path(tmp_path_factory):
 
 
 class TestTabulateCommand:
-    def test_writes_valid_table_and_summary(self, tmp_path):
+    @pytest.mark.parametrize(
+        "k_max, s_max, placements, samples, seed",
+        [
+            (4, 2, 80, 500, 5),
+            # Few noisy placements over many k: the first moments must still
+            # come out nondecreasing in k, or the table fails validation.
+            (34, 1, 8, 2000, 20259),
+        ],
+        ids=["k4", "k34"],
+    )
+    def test_writes_valid_table_and_summary(self, tmp_path, k_max, s_max, placements, samples, seed):
         out = tmp_path / "m.txt"
         res = run_cli(
-            "tabulate", "--k-max", "4", "--s-max", "2", "--placements", "80",
-            "--samples", "500", "--seed", "5", "--out", str(out),
+            "tabulate", "--k-max", str(k_max), "--s-max", str(s_max), "--placements", str(placements),
+            "--samples", str(samples), "--seed", str(seed), "--out", str(out),
         )
         assert res.returncode == 0, res.stderr
         assert "invariants ok" in res.stdout
         table = MomentTable.load(out)
-        assert table.k_max == 4
+        assert table.k_max == k_max
 
     def test_k_max_one_gives_all_ones(self, tmp_path):
         out = tmp_path / "ones.txt"

@@ -71,15 +71,15 @@ class TestIsAdjacent:
 class TestDiskUnionArea:
     def test_single_disk(self):
         est = disk_union_area([(0.0, 0.0)], 200_000, rng_from(1))
-        assert abs(est.alpha - 1.0) <= 3 * est.stderr
+        assert abs(est.alpha[-1] - 1.0) <= 3 * est.stderr[-1]
 
     def test_coincident_pair(self):
         est = disk_union_area([(0.3, 0.1), (0.3, 0.1)], 200_000, rng_from(2))
-        assert abs(est.alpha - 1.0) <= 3 * est.stderr
+        assert abs(est.alpha[-1] - 1.0) <= 3 * est.stderr[-1]
 
     def test_two_circles_distance_one(self):
         est = disk_union_area([(-0.5, 0.0), (0.5, 0.0)], 400_000, rng_from(3))
-        assert abs(est.alpha - TWO_CIRCLES_DIST1) <= 3 * est.stderr
+        assert abs(est.alpha[-1] - TWO_CIRCLES_DIST1) <= 3 * est.stderr[-1]
 
     def test_empty_centers_rejected(self):
         with pytest.raises(ValueError):
@@ -97,13 +97,32 @@ class TestDiskUnionArea:
         rotated = disk_union_area(centers @ rot.T, 300_000, rng_from(5))
         shifted = disk_union_area(centers + np.array([0.05, -0.08]), 300_000, rng_from(6))
         for other in (rotated, shifted):
-            combined = math.hypot(base.stderr, other.stderr)
-            assert abs(base.alpha - other.alpha) <= 4 * combined
+            combined = math.hypot(base.stderr[-1], other.stderr[-1])
+            assert abs(base.alpha[-1] - other.alpha[-1]) <= 4 * combined
 
     def test_reported_stderr_is_binomial(self):
         est = disk_union_area([(0.0, 0.0)], 10_000, rng_from(7))
-        frac = est.alpha * math.pi / 16.0
-        assert est.stderr == pytest.approx(16 / math.pi * math.sqrt(frac * (1 - frac) / 10_000))
+        frac = est.alpha[-1] * math.pi / 16.0
+        assert est.stderr[-1] == pytest.approx(16 / math.pi * math.sqrt(frac * (1 - frac) / 10_000))
+
+    def test_prefix_unions_match_independent_recount(self):
+        # 150,000 samples span three 2^16-point blocks of the kernel's stream.
+        n, seed = 150_000, 8
+        centers = sample_unit_disk(rng_from(9), 6)
+        est = disk_union_area(centers, n, rng_from(seed))
+        rng = rng_from(seed)
+        hits = np.zeros(len(centers), dtype=np.int64)
+        remaining = n
+        while remaining > 0:
+            block = min(remaining, 1 << 16)
+            pts = rng.uniform(-2.0, 2.0, size=(block, 2))
+            covered = np.hypot(pts[:, None, 0] - centers[:, 0], pts[:, None, 1] - centers[:, 1]) <= 1.0
+            for j in range(1, len(centers) + 1):
+                hits[j - 1] += int(covered[:, :j].any(axis=1).sum())
+            remaining -= block
+        assert len(est.alpha) == len(est.stderr) == len(centers)
+        np.testing.assert_allclose(est.alpha, 16.0 / math.pi * hits / n, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(est.alpha) >= 0.0)
 
 
 class TestSampleUnitDisk:
