@@ -104,9 +104,16 @@ def _parse_floats(spec: str) -> tuple[float, ...]:
     return tuple(float(v) for v in spec.split(","))
 
 
+def _thread_count(spec: str) -> int:
+    count = int(spec)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 (all cores) or a positive count, got {count}")
+    return count
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
-    sub.add_argument("--threads", type=int, default=0, help="worker processes, 0 = all cores")
+    sub.add_argument("--threads", type=_thread_count, default=0, help="worker processes, 0 = all cores")
     sub.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
 
 

@@ -1,14 +1,16 @@
-"""Decoding on the station x active-user incidence matrix.
+"""Decoding on the station x active-user edge list.
 
 Both decoders are rounds of one rule: a station that hears exactly one
 undecoded active user delivers that user.  Non-cooperative decoding is the
 first round alone.  Cooperative decoding repeats the round after cancelling
 every delivered user's interference at all its stations (synchronous
 peeling) and stops when no such station remains (a stopping set).  The rule
-is written once, in ``_peel``, which decodes a batch of activation masks on
-one matrix at a time.  That serves single slots, the exact oracle that
-integrates both decoders over all 2^n activation masks of a fixed placement,
-and mask Monte Carlo alike.
+is written once, in ``_peel``, on the edges of one graph.  Components of a
+graph share no edge and every round is synchronous, so a graph that is the
+disjoint union of many decodes each of them exactly as on its own: a sweep
+decodes the union of many slots in one call, and the oracles that integrate
+both decoders over the 2^n activation masks of a fixed placement decode the
+union of a block of masked copies of its edges.
 """
 
 from __future__ import annotations
@@ -41,42 +43,40 @@ class DecodingResult:
 
 
 def _peel(
-    adj: np.ndarray, masks: np.ndarray, max_rounds: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Synchronous peeling of each row of ``masks`` on the incidence matrix ``adj``.
+    station: np.ndarray, column: np.ndarray, n_stations: int, n_columns: int, max_rounds: int | None = None
+) -> np.ndarray:
+    """Synchronous peeling on the edges ``station[e]``--``column[e]`` of a graph.
 
-    ``adj`` is (stations, users) and ``masks`` (B, users) marks the active
-    users of each of B decodes.  Returns the users collected in round one
-    (non-cooperative), the users collected when peeling stops
-    (cooperative), both (B, users), and the users collected per round,
-    (B, rounds), zero-padded after a row's last round.  A user delivered by
-    several stations in one round counts once.  ``max_rounds`` stops
-    peeling early.
+    Returns, per column, the round in which its user was delivered, 0 if
+    never.  So round one (non-cooperative) is ``rounds == 1``, the final set
+    (cooperative) is ``rounds > 0``, and the users collected per round of
+    each component are a ``bincount`` of the nonzero entries.  Every round
+    up to the last delivers at least one user; ``max_rounds`` stops peeling
+    early.
     """
-    hear = adj.astype(np.float64)
-    left = masks.copy()
-    rounds = []
-    while max_rounds is None or len(rounds) < max_rounds:
-        alone = (left @ hear.T) == 1.0
-        got = left & ((alone @ hear) > 0.0)
-        if not got.any():
+    rounds = np.zeros(n_columns, dtype=np.int64)
+    r = 0
+    # Edges are selected by index (flatnonzero, then gathers): on the
+    # irregular masks of peeling that is faster than boolean indexing.
+    while station.size and (max_rounds is None or r < max_rounds):
+        alone = np.flatnonzero(np.bincount(station, minlength=n_stations)[station] == 1)
+        if not alone.size:
             break
-        rounds.append(got)
-        left &= ~got
-    first = rounds[0] if rounds else np.zeros_like(masks)
-    per_round = np.array([got.sum(axis=1) for got in rounds], dtype=np.int64).reshape(-1, len(masks))
-    return first, masks & ~left, per_round.T
+        r += 1
+        rounds[column[alone]] = r
+        live = np.flatnonzero(rounds[column] == 0)
+        station, column = station[live], column[live]
+    return rounds
 
 
 def _decode(graph: BipartiteGraph, cooperative: bool) -> DecodingResult:
-    _, collected_cols, per_round = _peel(
-        graph.adj, np.ones((1, graph.users.size), dtype=bool), None if cooperative else 1
-    )
+    rounds = _peel(graph.station, graph.column, graph.n_stations, graph.users.size, None if cooperative else 1)
     collected = np.zeros(graph.n_users, dtype=bool)
-    collected[graph.users] = collected_cols[0]
-    if cooperative:
-        return DecodingResult(collected, per_round.shape[1], per_round[0].tolist())
-    return DecodingResult(collected, 1, [int(collected_cols.sum())])
+    collected[graph.users[rounds > 0]] = True
+    if not cooperative:
+        return DecodingResult(collected, 1, [int(np.count_nonzero(rounds))])
+    per_round = np.bincount(rounds)[1:].tolist()
+    return DecodingResult(collected, len(per_round), per_round)
 
 
 def decode_noncooperative(graph: BipartiteGraph) -> DecodingResult:
@@ -89,10 +89,29 @@ def decode_cooperative(graph: BipartiteGraph) -> DecodingResult:
     return _decode(graph, cooperative=True)
 
 
-def _all_users_adjacency(instance: NetworkInstance) -> np.ndarray:
-    """Incidence matrix over every user, whatever the instance's own mask."""
+def _all_users_adjacency(instance: NetworkInstance) -> BipartiteGraph:
+    """Decoding graph over every user, whatever the instance's own mask."""
     everyone = np.ones(instance.params.n, dtype=bool)
-    return build_adjacency(dataclasses.replace(instance, active=everyone)).adj
+    return build_adjacency(dataclasses.replace(instance, active=everyone))
+
+
+def _peel_masks(graph: BipartiteGraph, masks: np.ndarray) -> np.ndarray:
+    """Delivery rounds, (B, users), of each row of ``masks`` on ``graph``.
+
+    ``graph`` has a column for every user and row b of ``masks`` marks the
+    users active in decode b.  The B decodes are one ``_peel`` on the
+    disjoint union of B copies of the graph, copy b keeping only the edges
+    of the users active in row b.
+    """
+    copies, users = masks.shape
+    copy, edge = np.divmod(np.flatnonzero(masks[:, graph.column]), graph.station.size)
+    rounds = _peel(
+        copy * graph.n_stations + graph.station[edge],
+        copy * users + graph.column[edge],
+        copies * graph.n_stations,
+        copies * users,
+    )
+    return rounds.reshape(copies, users)
 
 
 class CollectionProbabilities(NamedTuple):
@@ -119,7 +138,7 @@ def brute_force_collection_probability(
         p = instance.params.p
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    adj = _all_users_adjacency(instance)
+    graph = _all_users_adjacency(instance)
     bits = 1 << np.arange(n)
     # counts[s, u]: masks with s active users in which user u is collected
     counts_nc = np.zeros((n + 1, n))
@@ -127,9 +146,9 @@ def brute_force_collection_probability(
     for lo in range(0, 1 << n, MASK_BLOCK):
         masks = (np.arange(lo, min(lo + MASK_BLOCK, 1 << n))[:, None] & bits) != 0
         size = np.eye(n + 1)[masks.sum(axis=1)]
-        first, final, _ = _peel(adj, masks)
-        counts_nc += size.T @ first
-        counts_coop += size.T @ final
+        rounds = _peel_masks(graph, masks)
+        counts_nc += size.T @ (rounds == 1)
+        counts_coop += size.T @ (rounds > 0)
     sizes = np.arange(n + 1)
     weights = p**sizes * (1.0 - p) ** (n - sizes)
     return CollectionProbabilities(weights @ counts_nc, weights @ counts_coop)
@@ -157,18 +176,20 @@ def mask_monte_carlo(
     per-user estimate is (times collected)/n_masks with its binomial
     standard error.
     """
+    if n_masks < 1:
+        raise ValueError(f"n_masks must be a positive integer, got {n_masks}")
     n = instance.params.n
     if p is None:
         p = instance.params.p
-    adj = _all_users_adjacency(instance)
+    graph = _all_users_adjacency(instance)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     hits_nc = np.zeros(n, dtype=np.int64)
     hits_coop = np.zeros(n, dtype=np.int64)
     for lo in range(0, n_masks, MASK_BLOCK):
         masks = rng.random((min(MASK_BLOCK, n_masks - lo), n)) < p
-        first, final, _ = _peel(adj, masks)
-        hits_nc += first.sum(axis=0)
-        hits_coop += final.sum(axis=0)
+        rounds = _peel_masks(graph, masks)
+        hits_nc += (rounds == 1).sum(axis=0)
+        hits_coop += (rounds > 0).sum(axis=0)
     ph_nc = hits_nc / n_masks
     ph_coop = hits_coop / n_masks
     se = lambda ph: np.sqrt(ph * (1.0 - ph) / n_masks)

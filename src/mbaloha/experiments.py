@@ -26,7 +26,11 @@ from .analytics import (
 )
 from .decoders import decode_cooperative, decode_noncooperative
 from .geometry import MomentTable
-from .scenario import SystemParams, build_adjacency, generate_instance
+from .scenario import SystemParams, build_adjacency, disjoint_union, generate_instance
+
+# Runs of one job decoded per kernel call, so memory does not grow with the
+# run count.
+RUN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -114,19 +118,28 @@ class GBulletCell:
 
 
 def _simulate_runs(args) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Worker: decode runs [lo, hi) of one grid point, seeds derived per run."""
+    """Worker: decode runs [lo, hi) of one grid point, seeds derived per run.
+
+    The runs are decoded ``RUN_BLOCK`` at a time, each block as the disjoint
+    union of its runs' graphs.  Every run has n users, so the union's user
+    u belongs to run u // n.
+    """
     m, p, r, n, seed, lo, hi = args
     params = SystemParams(n=n, m=m, r=r, p=p)
-    active = np.empty(hi - lo, dtype=np.int64)
-    coll_nc = np.empty(hi - lo, dtype=np.int64)
-    coll_coop = np.empty(hi - lo, dtype=np.int64)
-    for i, run in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, n, run]))
-        graph = build_adjacency(generate_instance(params, rng))
-        active[i] = graph.users.size
-        coll_nc[i] = decode_noncooperative(graph).collected_count
-        coll_coop[i] = decode_cooperative(graph).collected_count
-    return n, lo, active, coll_nc, coll_coop
+    active, coll_nc, coll_coop = [], [], []
+    for start in range(lo, hi, RUN_BLOCK):
+        runs = range(start, min(start + RUN_BLOCK, hi))
+        graphs = [
+            build_adjacency(
+                generate_instance(params, np.random.default_rng(np.random.SeedSequence([seed, n, run])))
+            )
+            for run in runs
+        ]
+        union = disjoint_union(graphs)
+        active.extend(g.users.size for g in graphs)
+        coll_nc.append(decode_noncooperative(union).collected.reshape(len(runs), n).sum(axis=1))
+        coll_coop.append(decode_cooperative(union).collected.reshape(len(runs), n).sum(axis=1))
+    return n, lo, np.array(active, dtype=np.int64), np.concatenate(coll_nc), np.concatenate(coll_coop)
 
 
 def _pooled_ratio(collected: np.ndarray, active: np.ndarray) -> tuple[float, float]:

@@ -2,14 +2,18 @@
 
 Users and base stations are placed uniformly in the unit square; each user
 is independently active with probability p.  The decoding graph links every
-station to the active users within distance r.  Degree laws and the coverage
-probability are provided in both their finite (binomial) and asymptotic
-(Poisson) forms.
+station to the active users within distance r and is stored as an edge
+list: per edge, the station and the column of the active user it hears.
+``disjoint_union`` places several graphs side by side in one edge list, so
+that many slots can be decoded in one kernel call.  Degree laws and the
+coverage probability are provided in both their finite (binomial) and
+asymptotic (Poisson) forms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,24 +89,25 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Station x active-user incidence matrix of one realization.
+    """Station x active-user decoding graph of one realization, as an edge list.
 
-    ``adj[l, j]`` is True when station l hears the j-th active user, whose
-    user index is ``users[j]``.  Inactive users have no column.
+    Edge e joins station ``station[e]`` to column ``column[e]``; column j is
+    the active user ``users[j]``.  Inactive users have no column, and an
+    active user that no station hears has a column but no edge.
     """
 
+    n_stations: int
     n_users: int
-    adj: np.ndarray
     users: np.ndarray
-
-    @property
-    def n_stations(self) -> int:
-        return self.adj.shape[0]
+    station: np.ndarray
+    column: np.ndarray
 
     @property
     def station_neighbors(self) -> list[list[int]]:
         """Per-station lists of the user indices each station hears (a copy)."""
-        return [self.users[row].tolist() for row in self.adj]
+        heard = self.users[self.column[np.argsort(self.station, kind="stable")]].tolist()
+        ends = np.cumsum(np.bincount(self.station, minlength=self.n_stations)).tolist()
+        return [heard[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def generate_instance(params: SystemParams, rng: np.random.Generator) -> NetworkInstance:
@@ -118,8 +123,29 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     users = np.flatnonzero(instance.active)
     dx = instance.station_xy[:, 0, None] - instance.user_xy[None, users, 0]
     dy = instance.station_xy[:, 1, None] - instance.user_xy[None, users, 1]
-    adj = dx * dx + dy * dy <= instance.params.r**2
-    return BipartiteGraph(n_users=instance.params.n, adj=adj, users=users)
+    station, column = np.nonzero(dx * dx + dy * dy <= instance.params.r**2)
+    return BipartiteGraph(instance.params.m, instance.params.n, users, station, column)
+
+
+def disjoint_union(graphs: Sequence[BipartiteGraph]) -> BipartiteGraph:
+    """One graph holding one or more graphs side by side.
+
+    The stations, users and columns of ``graphs[k]`` are offset by the totals
+    of the graphs before it, so no edge joins two of them.  Peeling rounds
+    are synchronous, so decoding the union decodes each graph as on its own.
+    """
+    users, station, column = [], [], []
+    n_stations = n_users = n_columns = 0
+    for g in graphs:
+        users.append(g.users + n_users)
+        station.append(g.station + n_stations)
+        column.append(g.column + n_columns)
+        n_stations += g.n_stations
+        n_users += g.n_users
+        n_columns += g.users.size
+    return BipartiteGraph(
+        n_stations, n_users, np.concatenate(users), np.concatenate(station), np.concatenate(column)
+    )
 
 
 def _binom_pmf(d: int, total: int, q: float) -> float:

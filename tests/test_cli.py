@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,13 @@ class TestOracleCommand:
         res = run_cli("oracle", "--n", "25", "--masks", "10")
         assert res.returncode == 2
 
+    def test_zero_masks_exits_2_no_file(self, tmp_path):
+        out = tmp_path / "never.csv"
+        res = run_cli("oracle", "--n", "4", "--masks", "0", "--out", str(out))
+        assert res.returncode == 2
+        assert "n_masks" in res.stderr
+        assert not out.exists()
+
     def test_random_instance_smoke_with_bracket(self, table_path):
         res = run_cli(
             "oracle", "--n", "5", "--m", "3", "--r", "0.2", "--p", "0.4",
@@ -183,7 +191,41 @@ class TestOracleCommand:
         assert "finite bracket" in res.stdout
 
 
+class TestOutputDigests:
+    """Fixed-seed outputs pinned by digest, so that a change to an RNG stream,
+    to the decoders or to the counting shows up as a failure.  The manifest
+    line is part of the file, so a version bump changes the digests too."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
+                 "--seed", "11", "--no-analytic"],
+                "c4ac4949a118c54ea854529894d62a12f2448f6b33a426acf04c5bff21318296",
+            ),
+            (
+                ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
+                 "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
+                "d783b94b85c4423ddc3685ac897b63cd7de0ec2757f281a6c669ea9a1b0e390b",
+            ),
+        ],
+        ids=["sweep", "gbullet"],
+    )
+    def test_fixed_seed_output_digest(self, tmp_path, args, digest):
+        out = tmp_path / "out.csv"
+        res = run_cli(*args, "--threads", "1", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestUsageErrors:
+    def test_negative_threads(self):
+        res = run_cli("sweep", "--threads", "-3", "--grid", "0.2", "--no-analytic")
+        assert res.returncode == 1
+        assert "--threads" in res.stderr
+
+
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 1
 

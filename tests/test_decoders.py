@@ -11,16 +11,25 @@ from conftest import rng_from
 from mbaloha.decoders import (
     MASK_BLOCK,
     _peel,
+    _peel_masks,
     brute_force_collection_probability,
     decode_cooperative,
     decode_noncooperative,
     mask_monte_carlo,
 )
-from mbaloha.scenario import NetworkInstance, SystemParams, build_adjacency, generate_instance
+from mbaloha.scenario import (
+    BipartiteGraph,
+    NetworkInstance,
+    SystemParams,
+    build_adjacency,
+    disjoint_union,
+    generate_instance,
+)
 from topologies import (
     decode_cooperative_sequential,
     four_cycle,
     graph_from_station_lists,
+    incidence,
     ten_user_showcase,
     two_station_chain,
 )
@@ -36,6 +45,10 @@ small_params = st.builds(
 
 def random_graph(params, seed):
     return build_adjacency(generate_instance(params, rng_from(seed)))
+
+
+def peel(graph):
+    return _peel(graph.station, graph.column, graph.n_stations, graph.users.size)
 
 
 class TestNoncooperative:
@@ -84,14 +97,15 @@ class TestCooperative:
 
     def test_input_graph_not_mutated(self):
         graph = ten_user_showcase()
-        before = graph.adj.copy()
+        before = [a.copy() for a in (graph.users, graph.station, graph.column)]
         decode_cooperative(graph)
-        assert np.array_equal(graph.adj, before)
+        for a, b in zip((graph.users, graph.station, graph.column), before):
+            assert np.array_equal(a, b)
 
     def test_inactive_users_have_no_column(self):
         # users 1 and 3 inactive: station 0 hears u0 alone, station 1 hears u2
         graph = graph_from_station_lists(4, [[0], [0, 2]], active=[0, 2])
-        assert graph.adj.shape == (2, 2)
+        assert incidence(graph).shape == (2, 2)
         result = decode_cooperative(graph)
         assert result.collected.tolist() == [True, False, True, False]
         assert result.per_iteration_collected == [1, 1]
@@ -112,7 +126,7 @@ class TestDecodingInvariants:
         assert all(c >= 1 for c in coop.per_iteration_collected)
         assert sum(coop.per_iteration_collected) == coop.collected_count
         # collected users are active and covered
-        covered = graph.users[graph.adj.any(axis=0)]
+        covered = graph.users[graph.column]
         assert set(np.flatnonzero(coop.collected).tolist()) <= set(covered.tolist())
 
     def test_confluence_parallel_vs_sequential_bulk(self):
@@ -198,22 +212,54 @@ class TestBatchedKernel:
         inst = generate_instance(params, rng_from(31))
         everyone = build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool)))
         masks = np.array(list(itertools.product([False, True], repeat=params.n)))
-        first, final, per_round = _peel(everyone.adj, masks)
-        assert first.shape == final.shape == masks.shape
+        rounds = _peel_masks(everyone, masks)
+        assert rounds.shape == masks.shape
         for b, mask in enumerate(masks):
             graph = build_adjacency(dataclasses.replace(inst, active=mask))
             nc = decode_noncooperative(graph)
             coop = decode_cooperative(graph)
-            assert np.array_equal(first[b], nc.collected)
-            assert np.array_equal(final[b], coop.collected)
-            rounds = per_round[b].tolist()
-            assert rounds[: coop.iterations_run] == coop.per_iteration_collected
-            assert not any(rounds[coop.iterations_run :])
+            assert np.array_equal(rounds[b] == 1, nc.collected)
+            assert np.array_equal(rounds[b] > 0, coop.collected)
+            assert np.bincount(rounds[b])[1:].tolist() == coop.per_iteration_collected
 
     def test_no_users(self):
-        first, final, per_round = _peel(np.zeros((3, 0), bool), np.zeros((1, 0), bool))
-        assert first.shape == final.shape == (1, 0)
-        assert per_round.shape == (1, 0)
+        empty = np.zeros(0, dtype=np.int64)
+        assert _peel(empty, empty, 3, 0).shape == (0,)
+        assert _peel_masks(BipartiteGraph(3, 0, empty, empty, empty), np.zeros((1, 0), bool)).shape == (1, 0)
+
+
+class TestDisjointUnion:
+    def test_union_decodes_each_graph_as_alone(self):
+        graphs = [
+            random_graph(SystemParams(n=n, m=m, r=r, p=p), 600 + i)
+            for i, (n, m, r, p) in enumerate(
+                [(40, 12, 0.2, 0.5), (9, 5, 0.22, 0.9), (60, 30, 0.12, 0.3), (1, 1, 0.25, 1.0), (25, 8, 0.25, 0.6)]
+            )
+        ]
+        graphs.insert(2, graph_from_station_lists(5, [[], [], []], active=[]))  # no active users
+        graphs.insert(4, graph_from_station_lists(4, [[], []]))  # active users, no edges
+        graphs.append(ten_user_showcase())
+        union = disjoint_union(graphs)
+        rounds = peel(union)
+        nc_union = decode_noncooperative(union)
+        coop_union = decode_cooperative(union)
+        ncs = [decode_noncooperative(g) for g in graphs]
+        coops = [decode_cooperative(g) for g in graphs]
+        per_round = np.zeros(max(c.iterations_run for c in coops), dtype=np.int64)
+        user_lo = col_lo = 0
+        for graph, nc, coop in zip(graphs, ncs, coops):
+            users = slice(user_lo, user_lo + graph.n_users)
+            cols = slice(col_lo, col_lo + graph.users.size)
+            user_lo, col_lo = users.stop, cols.stop
+            assert np.array_equal(nc_union.collected[users], nc.collected)
+            assert np.array_equal(coop_union.collected[users], coop.collected)
+            assert np.array_equal(rounds[cols], peel(graph))
+            assert np.bincount(rounds[cols])[1:].tolist() == coop.per_iteration_collected
+            per_round[: coop.iterations_run] += np.array(coop.per_iteration_collected, dtype=np.int64)
+        assert (user_lo, col_lo) == (union.n_users, union.users.size)
+        assert coop_union.iterations_run == per_round.size >= 3
+        assert coop_union.per_iteration_collected == per_round.tolist()
+        assert nc_union.per_iteration_collected == [sum(nc.collected_count for nc in ncs)]
 
 
 def noncoop_inclusion_exclusion(adj: np.ndarray, p: float) -> np.ndarray:
@@ -241,7 +287,7 @@ class TestEnumerationBlocks:
         params = SystemParams(n=14, m=5, r=0.25, p=0.4)
         assert 2**params.n >= 4 * MASK_BLOCK
         inst = generate_instance(params, rng_from(1414))
-        adj = build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool))).adj
+        adj = incidence(build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool))))
         exact = brute_force_collection_probability(inst)
         want = noncoop_inclusion_exclusion(adj, params.p)
         # some users interfere: collected with probability strictly between 0 and p

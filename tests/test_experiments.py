@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mbaloha import experiments
 from mbaloha.experiments import (
     SWEEP_COLUMNS,
     SweepConfig,
@@ -96,6 +97,14 @@ class TestSweepLoad:
         b = render_sweep_csv(sweep_load(small_config()), "x")
         c = render_sweep_csv(sweep_load(small_config(), workers=2), "x")
         assert a == b == c
+
+    def test_rows_independent_of_run_block(self, monkeypatch):
+        # Block 1 decodes every run on its own; 3 leaves a partial last block.
+        rows = []
+        for block in (1, 3, experiments.RUN_BLOCK):
+            monkeypatch.setattr(experiments, "RUN_BLOCK", block)
+            rows.append(repr(sweep_load(small_config(runs_per_point=7))))
+        assert rows[0] == rows[1] == rows[2]
 
     def test_missing_table_flags_analytic_columns(self):
         rows = sweep_load(small_config())

@@ -12,6 +12,7 @@ from mbaloha.scenario import (
     SystemParams,
     build_adjacency,
     coverage_probability,
+    disjoint_union,
     dump_instance,
     generate_instance,
     lambda_min,
@@ -23,6 +24,7 @@ from mbaloha.scenario import (
     user_degree_pmf,
 )
 from points import is_adjacent
+from topologies import incidence
 
 small_params = st.builds(
     SystemParams,
@@ -87,7 +89,8 @@ class TestBuildAdjacency:
         inst = generate_instance(params, rng_from(1))
         inst = NetworkInstance(params, inst.user_xy, inst.station_xy, np.zeros(4, dtype=bool))
         graph = build_adjacency(inst)
-        assert graph.adj.shape == (3, 0)
+        assert graph.n_stations == 3
+        assert graph.station.size == graph.column.size == 0
         assert graph.users.size == 0
         assert all(len(nbrs) == 0 for nbrs in graph.station_neighbors)
 
@@ -96,7 +99,7 @@ class TestBuildAdjacency:
         xy = np.array([[0.25, -0.25]])
         inst = NetworkInstance(params, xy, xy.copy(), np.ones(1, dtype=bool))
         graph = build_adjacency(inst)
-        assert graph.adj.tolist() == [[True]]
+        assert incidence(graph).tolist() == [[True]]
         assert graph.users.tolist() == [0]
         assert graph.station_neighbors == [[0]]
 
@@ -132,10 +135,26 @@ class TestBuildAdjacency:
                 for l in range(inst.params.m)
             ],
             dtype=bool,
-        ).reshape(graph.adj.shape)
-        assert np.array_equal(graph.adj, expected)
+        ).reshape(inst.params.m, graph.users.size)
+        assert len(set(zip(graph.station.tolist(), graph.column.tolist()))) == graph.station.size
+        assert np.array_equal(incidence(graph), expected)
         for l, nbrs in enumerate(graph.station_neighbors):
             assert nbrs == graph.users[expected[l]].tolist()
+
+
+class TestDisjointUnion:
+    @given(st.lists(st.tuples(small_params, st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+    @settings(max_examples=30)
+    def test_offsets_keep_graphs_apart(self, draws):
+        graphs = [build_adjacency(generate_instance(params, rng_from(seed))) for params, seed in draws]
+        union = disjoint_union(graphs)
+        assert union.n_stations == sum(g.n_stations for g in graphs)
+        assert union.n_users == sum(g.n_users for g in graphs)
+        expected, offset = [], 0
+        for g in graphs:
+            expected += [[u + offset for u in nbrs] for nbrs in g.station_neighbors]
+            offset += g.n_users
+        assert union.station_neighbors == expected
 
 
 class TestDegreeDistributions:
@@ -218,7 +237,7 @@ class TestEmpiricalDegrees:
                 NetworkInstance(params, inst.user_xy, inst.station_xy, np.ones(params.n, bool))
             )
             nominal = nominal_user_mask(inst)
-            degrees.extend(graph.adj[:, nominal].sum(axis=0).tolist())
+            degrees.extend(incidence(graph)[:, nominal].sum(axis=0).tolist())
         degrees = np.asarray(degrees, dtype=float)
         se = degrees.std(ddof=1) / math.sqrt(len(degrees))
         assert abs(degrees.mean() - lam) <= 3 * se
@@ -234,7 +253,7 @@ class TestEmpiricalDegrees:
             run += 1
             graph = build_adjacency(inst)
             nominal = nominal_station_mask(inst)
-            samples.extend(graph.adj[nominal][:, graph.users != 0].sum(axis=1).tolist())
+            samples.extend(incidence(graph)[nominal][:, graph.users != 0].sum(axis=1).tolist())
         samples = np.asarray(samples)
         max_d = int(samples.max())
         observed = np.bincount(samples, minlength=max_d + 1).astype(float)

@@ -1,4 +1,4 @@
-"""Hand-built incidence matrices with hand-executed expected outcomes, and a
+"""Hand-built decoding graphs with hand-executed expected outcomes, and a
 sequential peeling decoder used as the differential reference."""
 
 import numpy as np
@@ -8,21 +8,30 @@ from mbaloha.scenario import BipartiteGraph
 
 
 def graph_from_station_lists(n_users: int, station_neighbors: list[list[int]], active=None) -> BipartiteGraph:
-    """Incidence matrix whose columns are the ``active`` users (default: all)."""
+    """Edge list whose columns are the ``active`` users (default: all)."""
     users = np.arange(n_users) if active is None else np.asarray(sorted(active), dtype=np.int64)
-    adj = np.array([[u in nbrs for u in users.tolist()] for nbrs in station_neighbors], dtype=bool)
-    return BipartiteGraph(n_users=n_users, adj=adj.reshape(len(station_neighbors), users.size), users=users)
+    column_of = {u: j for j, u in enumerate(users.tolist())}
+    pairs = [(l, column_of[u]) for l, nbrs in enumerate(station_neighbors) for u in nbrs if u in column_of]
+    station, column = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return BipartiteGraph(len(station_neighbors), n_users, users, station, column)
+
+
+def incidence(graph: BipartiteGraph) -> np.ndarray:
+    """Dense station x column matrix of the graph's edges."""
+    adj = np.zeros((graph.n_stations, graph.users.size), dtype=bool)
+    adj[graph.station, graph.column] = True
+    return adj
 
 
 def decode_cooperative_sequential(
     graph: BipartiteGraph, rng: np.random.Generator | None = None
 ) -> DecodingResult:
-    """Peeling one degree-1 station at a time, in random order.
+    """Peeling one degree-1 station at a time, in random order, on the dense matrix.
 
     The final collected set of peeling does not depend on the order, so it
     must coincide with the parallel-round decoder's for every order.
     """
-    left = graph.adj.copy()
+    left = incidence(graph)
     collected = np.zeros(graph.n_users, dtype=bool)
     rounds = 0
     while True:
