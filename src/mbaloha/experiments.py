@@ -3,10 +3,13 @@
 A sweep fixes (m, p, lambda) and varies the user count n to realize a grid
 of normalized loads G; every (grid point, run) pair draws its own substream
 from (seed, n, run), so results are identical for any worker count and any
-grid subset.  The pooled estimator of P(collected | active) divides total
-collected by total active across runs; the classic per-run estimator
-(collected / n / p, averaged) is exposed as ``paper_prob_*`` and equals
-mc_T / G_realized exactly.
+grid subset.  A command runs all its slots, those of one sweep or of every
+lambda's sweep for the max-load metric, on one process pool, in a few jobs
+balanced by their total users; a job may span grid points and lambdas.  The
+pooled estimator of P(collected | active) divides total collected by total
+active across runs; the classic per-run estimator (collected / n / p,
+averaged) is exposed as ``paper_prob_*`` and equals mc_T / G_realized
+exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from .decoders import decode_cooperative, decode_noncooperative
 from .geometry import MomentTable
 from .scenario import SystemParams, build_adjacency, disjoint_union, generate_instance
 
-# Runs of one job decoded per kernel call, so memory does not grow with the
+# Slots of one job decoded per kernel call, so memory does not grow with the
 # run count.
 RUN_BLOCK = 128
+
+# Jobs per worker process: enough that the workers finish close together,
+# few enough that pool dispatch stays cheap.
+JOBS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -117,29 +124,75 @@ class GBulletCell:
     gbullet_coop: float
 
 
-def _simulate_runs(args) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Worker: decode runs [lo, hi) of one grid point, seeds derived per run.
+def _simulate_runs(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Worker: decode the slots of one job, in order.
 
-    The runs are decoded ``RUN_BLOCK`` at a time, each block as the disjoint
-    union of its runs' graphs.  Every run has n users, so the union's user
-    u belongs to run u // n.
+    A job is a list of segments ``(m, p, r, seed, n, lo, hi)``, each holding
+    runs [lo, hi) of the grid point with n users; run ``run`` draws from
+    (seed, n, run).  The slots are decoded ``RUN_BLOCK`` at a time, each
+    block as the disjoint union of its slots' graphs, whatever grid point or
+    lambda they come from.  Returns per slot the active users and the users
+    collected by each decoder.
     """
-    m, p, r, n, seed, lo, hi = args
-    params = SystemParams(n=n, m=m, r=r, p=p)
+    slots = []
+    for m, p, r, seed, n, lo, hi in job:
+        params = SystemParams(n=n, m=m, r=r, p=p)
+        slots.extend((params, [seed, n, run]) for run in range(lo, hi))
     active, coll_nc, coll_coop = [], [], []
-    for start in range(lo, hi, RUN_BLOCK):
-        runs = range(start, min(start + RUN_BLOCK, hi))
+    for start in range(0, len(slots), RUN_BLOCK):
         graphs = [
-            build_adjacency(
-                generate_instance(params, np.random.default_rng(np.random.SeedSequence([seed, n, run])))
-            )
-            for run in runs
+            build_adjacency(generate_instance(params, np.random.default_rng(np.random.SeedSequence(entropy))))
+            for params, entropy in slots[start : start + RUN_BLOCK]
         ]
         union = disjoint_union(graphs)
+        # The union's users are the slots' users in order, n_users per slot.
+        offsets = np.cumsum([0] + [g.n_users for g in graphs[:-1]])
         active.extend(g.users.size for g in graphs)
-        coll_nc.append(decode_noncooperative(union).collected.reshape(len(runs), n).sum(axis=1))
-        coll_coop.append(decode_cooperative(union).collected.reshape(len(runs), n).sum(axis=1))
-    return n, lo, np.array(active, dtype=np.int64), np.concatenate(coll_nc), np.concatenate(coll_coop)
+        coll_nc.append(np.add.reduceat(decode_noncooperative(union).collected, offsets, dtype=np.int64))
+        coll_coop.append(np.add.reduceat(decode_cooperative(union).collected, offsets, dtype=np.int64))
+    return np.array(active, dtype=np.int64), np.concatenate(coll_nc), np.concatenate(coll_coop)
+
+
+def _simulate(
+    configs: list[SweepConfig], workers: int | None
+) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """One Monte Carlo pass over every live grid point of every config.
+
+    Returns, per config and per grid point with n > 0 in grid order, the
+    per-run arrays of ``_simulate_runs``.  The (config, point, run) slots
+    are listed in that order and cut into contiguous jobs of about equal
+    total users, ``JOBS_PER_WORKER`` per worker, which run on one process
+    pool.  Every run draws its own substream, so the cut changes no result.
+    """
+    points = [(k, c, n) for k, c in enumerate(configs) for n in map(c.realized_users, c.g_grid) if n > 0]
+    by_config: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [[] for _ in configs]
+    if not points:
+        return by_config
+    runs = [c.runs_per_point for _, c, _ in points]
+    # Slot index of each point's first run; the last entry is the slot count.
+    starts = np.concatenate(([0], np.cumsum(runs)))
+    users = np.cumsum(np.repeat([n for _, _, n in points], runs))
+    n_jobs = JOBS_PER_WORKER * workers if workers is not None and workers > 1 else 1
+    # Job j ends at the first slot where the users reach j / n_jobs of the total.
+    ends = np.unique(np.searchsorted(users, users[-1] * np.arange(1, n_jobs + 1) / n_jobs) + 1)
+    # Between consecutive point starts and job ends lies one segment.
+    bounds = np.union1d(starts, ends)
+    lows = bounds[:-1]
+    point = np.searchsorted(starts, lows, side="right") - 1
+    job = np.searchsorted(ends, lows, side="right")
+    jobs: list[list[tuple]] = [[] for _ in ends]
+    for lo, hi, i, j in zip(lows, bounds[1:], point, job):
+        _, c, n = points[i]
+        jobs[j].append((c.m, c.p, c.r, c.seed, n, int(lo - starts[i]), int(hi - starts[i])))
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_simulate_runs, jobs, chunksize=1))
+    else:
+        done = [_simulate_runs(job) for job in jobs]
+    per_slot = [np.split(np.concatenate(arrays), starts[1:-1]) for arrays in zip(*done)]
+    for (k, _, _), arrays in zip(points, zip(*per_slot)):
+        by_config[k].append(arrays)
+    return by_config
 
 
 def _pooled_ratio(collected: np.ndarray, active: np.ndarray) -> tuple[float, float]:
@@ -169,31 +222,11 @@ def sweep_load(config: SweepConfig, workers: int | None = None) -> list[SweepRow
             raise ValueError(
                 f"k_max={config.k_max} exceeds the table's k_max={table.k_max}"
             )
-
-    points = [(g, config.realized_users(g)) for g in config.g_grid]
-    # Split a point's runs only as far as it takes to give every worker a job.
-    procs = workers if workers is not None and workers > 1 else 1
-    live = sum(1 for _, n in points if n > 0)
-    chunk = math.ceil(config.runs_per_point / math.ceil(procs / max(live, 1)))
-    jobs = [
-        (config.m, config.p, config.r, n, config.seed, lo, min(lo + chunk, config.runs_per_point))
-        for _, n in points
-        if n > 0
-        for lo in range(0, config.runs_per_point, chunk)
-    ]
-    results: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    if procs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            for n, lo, act, nc, coop in pool.map(_simulate_runs, jobs, chunksize=1):
-                results[(n, lo)] = (act, nc, coop)
-    else:
-        for job in jobs:
-            n, lo, act, nc, coop = _simulate_runs(job)
-            results[(n, lo)] = (act, nc, coop)
-
+    samples = iter(_simulate([config], workers)[0])
     lam = config.m * config.r**2 * math.pi
     rows: list[SweepRow] = []
-    for _, n in points:
+    for g in config.g_grid:
+        n = config.realized_users(g)
         g_real = n * config.p / config.m
         flags: list[str] = []
         if n == 0:
@@ -206,12 +239,7 @@ def sweep_load(config: SweepConfig, workers: int | None = None) -> list[SweepRow
                 mc_T_coop=0.0,
             )
         else:
-            parts = [
-                results[(n, lo)] for lo in range(0, config.runs_per_point, chunk)
-            ]
-            act = np.concatenate([p_[0] for p_ in parts])
-            nc = np.concatenate([p_[1] for p_ in parts])
-            coop = np.concatenate([p_[2] for p_ in parts])
+            act, nc, coop = next(samples)
             p_nc, se_nc = _pooled_ratio(nc, act)
             p_coop, se_coop = _pooled_ratio(coop, act)
             runs = config.runs_per_point
@@ -261,24 +289,24 @@ def estimate_gbullet(
 
     Each lambda cell derives its sweep seed from the float bits of lambda, so
     rerunning any subset of the grid reproduces the full run's cells.  The
-    Monte Carlo probability columns are smoothed (window 3) before
-    thresholding, per the max-load policy.
+    sweeps of all lambdas run as one Monte Carlo pass.  The Monte Carlo
+    probability columns are smoothed (window 3) before thresholding, per the
+    max-load policy.
     """
     if not lambda_grid or not eps_list:
         raise ValueError("lambda grid and eps list must be nonempty")
-    cells: list[GBulletCell] = []
+    subs = []
     for lam in lambda_grid:
         lam_bits = int(np.float64(lam).view(np.uint64))
         sub_seed = int(
             np.random.SeedSequence([config.seed, lam_bits]).generate_state(1, np.uint64)[0]
         )
-        sub = replace(
-            config, lambda_target=lam, seed=sub_seed, moment_table_path=None
-        )
-        rows = [row for row in sweep_load(sub, workers=workers) if row.n > 0]
-        grid = [row.G_realized for row in rows]
-        nc_vals = [row.mc_prob_noncoop for row in rows]
-        coop_vals = [row.mc_prob_coop for row in rows]
+        subs.append(replace(config, lambda_target=lam, seed=sub_seed, moment_table_path=None))
+    cells: list[GBulletCell] = []
+    for lam, sub, samples in zip(lambda_grid, subs, _simulate(subs, workers)):
+        grid = [n * sub.p / sub.m for n in map(sub.realized_users, sub.g_grid) if n > 0]
+        nc_vals = [_pooled_ratio(nc, act)[0] for act, nc, _ in samples]
+        coop_vals = [_pooled_ratio(coop, act)[0] for act, _, coop in samples]
         for eps in eps_list:
             cells.append(
                 GBulletCell(

@@ -64,7 +64,9 @@ class SystemParams:
 class NetworkInstance:
     """One slot's realization: positions plus the activation mask.
 
-    Positions are stored as (n, 2) and (m, 2) float arrays.
+    Positions are stored as (n, 2) and (m, 2) float arrays.  They are not
+    checked against the unit square here: ``generate_instance`` draws inside
+    it, and ``parse_instance`` checks positions read from a file.
     """
 
     params: SystemParams
@@ -78,9 +80,6 @@ class NetworkInstance:
             raise ValueError("position arrays do not match params")
         if self.active.shape != (n,) or self.active.dtype != np.bool_:
             raise ValueError("active must be a boolean mask of length n")
-        for arr in (self.user_xy, self.station_xy):
-            if arr.size and np.abs(arr).max() > HALF_SIDE:
-                raise ValueError("positions must lie inside the unit square")
 
     @property
     def active_count(self) -> int:
@@ -123,7 +122,8 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     users = np.flatnonzero(instance.active)
     dx = instance.station_xy[:, 0, None] - instance.user_xy[None, users, 0]
     dy = instance.station_xy[:, 1, None] - instance.user_xy[None, users, 1]
-    station, column = np.nonzero(dx * dx + dy * dy <= instance.params.r**2)
+    # Row-major flat indices split into (station, column) give the order of np.nonzero.
+    station, column = np.divmod(np.flatnonzero(dx * dx + dy * dy <= instance.params.r**2), users.size)
     return BipartiteGraph(instance.params.m, instance.params.n, users, station, column)
 
 
@@ -247,4 +247,8 @@ def parse_instance(text: str) -> NetworkInstance:
     active = np.array([bool(int(ln.split()[2])) for ln in users])
     station_xy = np.array([[float(v) for v in ln.split()] for ln in body[params.n :]])
     station_xy = station_xy.reshape(params.m, 2)
+    for arr in (user_xy, station_xy):
+        # Written so that NaN fails too.
+        if not np.all(np.abs(arr) <= HALF_SIDE):
+            raise ValueError("positions must lie inside the unit square")
     return NetworkInstance(params, user_xy, station_xy, active)

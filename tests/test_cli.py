@@ -171,6 +171,23 @@ class TestOracleCommand:
             assert cells[-1] == "pass"
         assert "cooperative >= non-cooperative per user: pass" in res.stdout
 
+    @pytest.mark.parametrize("x", [0.75, float("nan")])
+    def test_position_outside_square_exits_2_no_file(self, tmp_path, x):
+        params = SystemParams(n=2, m=1, r=0.1, p=0.4)
+        inst = NetworkInstance(
+            params,
+            np.array([[0.0, 0.0], [x, 0.0]]),
+            np.array([[0.0, 0.0]]),
+            np.zeros(2, dtype=bool),
+        )
+        path = tmp_path / "inst.txt"
+        path.write_text(dump_instance(inst))
+        out = tmp_path / "never.csv"
+        res = run_cli("oracle", "--instance", str(path), "--masks", "100", "--out", str(out))
+        assert res.returncode == 2
+        assert "unit square" in res.stderr
+        assert not out.exists()
+
     def test_oversized_instance_exits_2(self):
         res = run_cli("oracle", "--n", "25", "--masks", "10")
         assert res.returncode == 2

@@ -92,14 +92,20 @@ class TestSweepLoad:
             assert row.mc_prob_coop >= row.mc_prob_noncoop
             assert row.mc_T_coop >= row.mc_T_noncoop
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic_and_worker_independent(self, monkeypatch):
         a = render_sweep_csv(sweep_load(small_config()), "x")
         b = render_sweep_csv(sweep_load(small_config()), "x")
-        c = render_sweep_csv(sweep_load(small_config(), workers=2), "x")
-        assert a == b == c
+        assert a == b
+        for workers in (2, 3):
+            assert render_sweep_csv(sweep_load(small_config(), workers=workers), "x") == a
+        # 1 gives one job per worker; 7 gives 14 jobs, cut across both grid points.
+        for per_worker in (1, 7):
+            monkeypatch.setattr(experiments, "JOBS_PER_WORKER", per_worker)
+            assert render_sweep_csv(sweep_load(small_config(), workers=2), "x") == a
 
     def test_rows_independent_of_run_block(self, monkeypatch):
-        # Block 1 decodes every run on its own; 3 leaves a partial last block.
+        # Block 1 decodes every run on its own; 3 leaves a partial last block
+        # and makes blocks that hold runs of both grid points (n = 8 and 20).
         rows = []
         for block in (1, 3, experiments.RUN_BLOCK):
             monkeypatch.setattr(experiments, "RUN_BLOCK", block)
@@ -200,6 +206,47 @@ class TestEstimateGbullet:
         cells = estimate_gbullet(cfg, (1.0,), (0.05,))
         assert cells[0].gbullet_noncoop == 0.0
         assert cells[0].gbullet_coop == 0.0
+
+    def test_cells_independent_of_workers(self):
+        cfg = small_config(g_grid=(0.0, 0.1, 0.2, 0.3), runs_per_point=12)
+        cells = [estimate_gbullet(cfg, (1.5, 2.0, 3.0), (0.3, 0.5), workers=w) for w in (1, 2, 3)]
+        assert cells[0] == cells[1] == cells[2]
+
+    def test_one_pool_of_balanced_jobs(self, monkeypatch):
+        opened = []
+
+        class CountingExecutor:
+            """Runs ``map`` in this process and records the jobs it was given."""
+
+            def __init__(self, max_workers=None):
+                self.jobs = []
+                opened.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, iterable, chunksize=1):
+                self.jobs = list(iterable)
+                return [fn(job) for job in self.jobs]
+
+        cfg = small_config(g_grid=(0.0, 0.1, 0.2, 0.3), runs_per_point=12)
+        lambdas = (1.5, 2.0, 3.0)
+        want = estimate_gbullet(cfg, lambdas, (0.3, 0.5), workers=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingExecutor)
+        assert estimate_gbullet(cfg, lambdas, (0.3, 0.5), workers=2) == want
+        assert len(opened) == 1
+        jobs = opened[0].jobs
+        assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
+        # Segments are (m, p, r, seed, n, lo, hi); every job's users lie
+        # within one slot's users of an equal share.
+        users = [sum(n * (hi - lo) for _, _, _, _, n, lo, hi in job) for job in jobs]
+        largest = max(seg[4] for job in jobs for seg in job)
+        assert all(abs(u - sum(users) / len(jobs)) < largest for u in users)
+        assert sum(users) == len(lambdas) * 12 * sum(cfg.realized_users(g) for g in cfg.g_grid)
+        assert any(len({seg[3] for seg in job}) > 1 for job in jobs)  # a job spans two lambdas
 
     def test_subset_rerun_matches_full(self):
         cfg = small_config(g_grid=(0.0, 0.1, 0.2, 0.3), runs_per_point=30)
