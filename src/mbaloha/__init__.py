@@ -10,11 +10,9 @@ from .analytics import (
     SeriesValue,
     collection_prob_noncoop_asymptotic,
     collection_prob_noncoop_finite,
-    g_bullet,
     g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
-    single_station,
     throughput,
     zeta,
 )
@@ -50,8 +48,4 @@ from .scenario import (
     build_adjacency,
     coverage_probability,
     generate_instance,
-    lambda_min,
-    poisson_pmf,
-    station_degree_pmf,
-    user_degree_pmf,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -269,13 +269,6 @@ def throughput(load_g: float, conditional_prob: float) -> float:
     return load_g * conditional_prob
 
 
-def single_station(np_product: float) -> float:
-    """Classic single-station slotted Aloha throughput n p e^{-n p}."""
-    if np_product < 0:
-        raise ValueError("n p must be nonnegative")
-    return np_product * math.exp(-np_product)
-
-
 def g_bullet_from_values(
     lam: float,
     eps: float,
@@ -309,18 +302,3 @@ def g_bullet_from_values(
     qualifying = grid[vals >= 1.0 - eps]
     return float(qualifying.max()) if qualifying.size else 0.0
 
-
-def g_bullet(
-    lam: float,
-    eps: float,
-    evaluator: Callable[[float], float],
-    g_max: float = 1.0,
-    step: float = 0.01,
-    smooth_window: int = 1,
-) -> float:
-    """Grid supremum of {G : evaluator(G) >= 1 - eps} on 0..g_max."""
-    if step <= 0 or g_max < 0:
-        raise ValueError("step must be positive and g_max nonnegative")
-    grid = np.arange(0.0, g_max + step / 2, step)
-    values = [evaluator(float(g)) for g in grid]
-    return g_bullet_from_values(lam, eps, grid, values, smooth_window=smooth_window)

@@ -29,7 +29,7 @@ from .experiments import (
     render_sweep_csv,
     sweep_load,
 )
-from .geometry import MomentTable, tabulate_moments
+from .geometry import MomentTable, format_moment_table, tabulate_moments
 from .scenario import SystemParams, generate_instance, parse_instance
 
 DEFAULT_SEED = 20259
@@ -138,7 +138,7 @@ def _cmd_tabulate(args) -> int:
         seed=args.seed,
         workers=_workers(args),
     )
-    table.save(args.out)
+    _write_atomic(args.out, format_moment_table(table))
     print(f"wrote {args.out} (sha256 {_checksum(args.out)})")
     print(
         f"k_max={table.k_max} s_max={table.s_max} "

@@ -5,9 +5,8 @@ is independently active with probability p.  The decoding graph links every
 station to the active users within distance r and is stored as an edge
 list: per edge, the station and the column of the active user it hears.
 ``disjoint_union`` places several graphs side by side in one edge list, so
-that many slots can be decoded in one kernel call.  Degree laws and the
-coverage probability are provided in both their finite (binomial) and
-asymptotic (Poisson) forms.
+that many slots can be decoded in one kernel call.  ``coverage_probability``
+gives the asymptotic chance that some station hears a user.
 """
 
 from __future__ import annotations
@@ -148,73 +147,11 @@ def disjoint_union(graphs: Sequence[BipartiteGraph]) -> BipartiteGraph:
     )
 
 
-def _binom_pmf(d: int, total: int, q: float) -> float:
-    if not 0 <= d <= total:
-        raise ValueError(f"degree {d} outside 0..{total}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"success probability {q} outside [0, 1]")
-    if q == 0.0:
-        return 1.0 if d == 0 else 0.0
-    if q == 1.0:
-        return 1.0 if d == total else 0.0
-    log_pmf = (
-        math.lgamma(total + 1)
-        - math.lgamma(d + 1)
-        - math.lgamma(total - d + 1)
-        + d * math.log(q)
-        + (total - d) * math.log1p(-q)
-    )
-    return math.exp(log_pmf)
-
-
-def user_degree_pmf(d: int, m: int, r: float) -> float:
-    """P(user has exactly d adjacent stations | nominal placement)."""
-    return _binom_pmf(d, m, r * r * math.pi)
-
-
-def station_degree_pmf(d: int, n: int, p: float, r: float) -> float:
-    """P(station hears exactly d active users among n-1 | nominal placement).
-
-    One fixed user is excluded from the count, matching the conditioning used
-    by the analytic formulas.
-    """
-    return _binom_pmf(d, n - 1, p * r * r * math.pi)
-
-
-def poisson_pmf(d: int, mean: float) -> float:
-    """Poisson pmf, evaluated in log space for large d."""
-    if mean < 0:
-        raise ValueError(f"mean must be nonnegative, got {mean}")
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
-    if mean == 0.0:
-        return 1.0 if d == 0 else 0.0
-    return math.exp(-mean + d * math.log(mean) - math.lgamma(d + 1))
-
-
 def coverage_probability(lam: float) -> float:
     """Asymptotic probability that a user is heard by at least one station."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     return -math.expm1(-lam)
-
-
-def lambda_min(eps: float) -> float:
-    """Smallest lambda guaranteeing coverage at least 1 - eps."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return math.log(1.0 / eps)
-
-
-def nominal_user_mask(instance: NetworkInstance) -> np.ndarray:
-    """Users placed in the inner square at distance >= 2r from the boundary."""
-    bound = HALF_SIDE - 2.0 * instance.params.r
-    return np.abs(instance.user_xy).max(axis=1) <= bound
-
-
-def nominal_station_mask(instance: NetworkInstance) -> np.ndarray:
-    bound = HALF_SIDE - 2.0 * instance.params.r
-    return np.abs(instance.station_xy).max(axis=1) <= bound
 
 
 def dump_instance(instance: NetworkInstance) -> str:

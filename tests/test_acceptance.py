@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import DEFAULT_TABLE, rng_from, workers
+from laws import lambda_min, single_station
 from mbaloha.analytics import (
     AsymptoticParams,
     collection_prob_noncoop_asymptotic,
     g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
-    single_station,
 )
 from mbaloha.cli import DEFAULT_SEED
 from mbaloha.decoders import (
@@ -32,7 +32,7 @@ from mbaloha.decoders import (
 )
 from mbaloha.experiments import SweepConfig, estimate_gbullet, sweep_load
 from mbaloha.geometry import MomentTable, tabulate_moments
-from mbaloha.scenario import SystemParams, coverage_probability, generate_instance, lambda_min
+from mbaloha.scenario import SystemParams, coverage_probability, generate_instance
 from test_analytics import quadrature_mean_alpha
 from topologies import ten_user_showcase
 

@@ -5,15 +5,14 @@ import pytest
 from scipy import integrate, optimize
 
 from conftest import rng_from
+from laws import g_bullet, single_station
 from mbaloha.analytics import (
     AsymptoticParams,
     collection_prob_noncoop_asymptotic,
     collection_prob_noncoop_finite,
-    g_bullet,
     g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
-    single_station,
     throughput,
     zeta,
 )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mbaloha import cli
 from mbaloha.geometry import MomentTable, tabulate_moments
 from mbaloha.scenario import NetworkInstance, SystemParams, dump_instance
 
@@ -74,6 +75,20 @@ class TestTabulateCommand:
     def test_missing_out_is_usage_error(self):
         res = run_cli("tabulate", "--k-max", "2")
         assert res.returncode == 1
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        out = tmp_path / "m.txt"
+        out.write_bytes(b"old table\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code = cli.main(["tabulate", "--threads", "1", "--k-max", "3", "--placements", "5",
+                         "--samples", "100", "--out", str(out)])
+        assert code == 2
+        assert out.read_bytes() == b"old table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
 
 
 class TestSweepCommand:
@@ -226,8 +241,13 @@ class TestOutputDigests:
                  "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
                 "d783b94b85c4423ddc3685ac897b63cd7de0ec2757f281a6c669ea9a1b0e390b",
             ),
+            (
+                ["tabulate", "--k-max", "6", "--s-max", "4", "--placements", "40", "--samples", "3000",
+                 "--seed", "3"],
+                "27dcf7f85684f06dbc90998817f7d9f1272b43611459b6579c44e82dc70bc2f1",
+            ),
         ],
-        ids=["sweep", "gbullet"],
+        ids=["sweep", "gbullet", "tabulate"],
     )
     def test_fixed_seed_output_digest(self, tmp_path, args, digest):
         out = tmp_path / "out.csv"

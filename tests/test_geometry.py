@@ -124,6 +124,47 @@ class TestDiskUnionArea:
         np.testing.assert_allclose(est.alpha, 16.0 / math.pi * hits / n, rtol=0.0, atol=1e-12)
         assert np.all(np.diff(est.alpha) >= 0.0)
 
+    @pytest.mark.parametrize(
+        "centers, n",
+        [
+            *((sample_unit_disk(rng_from(10, k), k), 4000) for k in (1, 2, 6, 34, 50)),
+            (np.array([(0.0, 0.0), (0.6, -0.3), (-0.2, 0.9)]), 4000),
+            (np.array([(0.4, 0.1), (-0.5, 0.5), (0.4, 0.1), (-0.5, 0.5), (0.0, -0.7)]), 4000),
+            (sample_unit_disk(rng_from(11), 6), 150_000),
+        ],
+        ids=["k1", "k2", "k6", "k34", "k50", "origin", "duplicates", "three_blocks"],
+    )
+    def test_bit_identical_to_reference_kernel(self, centers, n):
+        est = disk_union_area(centers, n, rng_from(12))
+        ref = reference_disk_union_area(centers, n, rng_from(12))
+        assert np.array_equal(est.alpha, ref.alpha)
+        assert np.array_equal(est.stderr, ref.stderr)
+
+
+def reference_disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> AreaEstimate:
+    """The first-covering-disk tally written as separate steps: product, then
+    the -2 scaling, row sums of squares, and an explicit no-hit case.  Same
+    stream and block size as ``disk_union_area``, which must match it exactly."""
+    arr = np.asarray(centers, dtype=float)
+    k = len(arr)
+    first_hits = np.zeros(k + 1, dtype=np.int64)
+    remaining = n_samples
+    c_norm2 = (arr**2).sum(axis=1)
+    while remaining > 0:
+        block = min(remaining, 1 << 16)
+        pts = rng.uniform(-2.0, 2.0, size=(block, 2))
+        d2 = pts @ arr.T
+        d2 *= -2.0
+        d2 += (pts**2).sum(axis=1)[:, None]
+        d2 += c_norm2[None, :]
+        inside = d2 <= 1.0
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1), k)
+        first_hits += np.bincount(first, minlength=k + 1)
+        remaining -= block
+    scale = 16.0 / math.pi
+    frac = np.cumsum(first_hits[:k]) / n_samples
+    return AreaEstimate(scale * frac, scale * np.sqrt(frac * (1.0 - frac) / n_samples))
+
 
 class TestSampleUnitDisk:
     @given(st.integers(1, 200), st.integers(0, 50))

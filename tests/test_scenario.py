@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import rng_from
+from laws import (
+    lambda_min,
+    nominal_station_mask,
+    nominal_user_mask,
+    poisson_pmf,
+    station_degree_pmf,
+    user_degree_pmf,
+)
 from mbaloha.scenario import (
     NetworkInstance,
     SystemParams,
@@ -15,13 +23,7 @@ from mbaloha.scenario import (
     disjoint_union,
     dump_instance,
     generate_instance,
-    lambda_min,
-    nominal_station_mask,
-    nominal_user_mask,
     parse_instance,
-    poisson_pmf,
-    station_degree_pmf,
-    user_degree_pmf,
 )
 from points import is_adjacent
 from topologies import incidence
