@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .analytics import (
-    AsymptoticParams,
     FiniteBracket,
     HeuristicResult,
     HeuristicState,
@@ -32,13 +31,13 @@ from .experiments import (
     render_gbullet_csv,
     render_sweep_csv,
     sweep_load,
+    tabulate_moments,
 )
 from .geometry import (
     AreaEstimate,
     MomentTable,
     MomentTableError,
     disk_union_area,
-    tabulate_moments,
     uniform_points,
 )
 from .scenario import (

@@ -21,38 +21,10 @@ import numpy as np
 from .geometry import MomentTable
 from .scenario import SystemParams, coverage_probability
 
-REL_TOL = 1e-12
-
 #: Truncation is unreliable once lambda approaches k_max; see the warning below.
 TRUNCATION_SAFE_FACTOR = 0.25
 
 _MAX_CANCELLATION_DIGITS = 12.0
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Asymptotic regime parameters: lambda, psi = G * lambda, and p."""
-
-    lam: float
-    psi: float
-    load_g: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.lam < 0 or self.psi < 0 or self.load_g < 0:
-            raise ValueError("lambda, psi and G must be nonnegative")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if abs(self.psi - self.load_g * self.lam) > REL_TOL * max(1.0, self.psi):
-            raise ValueError("psi and G * lambda disagree")
-
-    @classmethod
-    def from_load(cls, lam: float, load_g: float, p: float) -> "AsymptoticParams":
-        return cls(lam=lam, psi=load_g * lam, load_g=load_g, p=p)
-
-    @classmethod
-    def from_system(cls, params: SystemParams) -> "AsymptoticParams":
-        return cls(lam=params.lam, psi=params.psi, load_g=params.load_g, p=params.p)
 
 
 @dataclass(frozen=True)
@@ -148,17 +120,17 @@ def zeta(k: int, m: int, r: float) -> float:
 
 
 def collection_prob_noncoop_asymptotic(
-    params: AsymptoticParams, table: MomentTable, k_max: int | None = None
+    lam: float, psi: float, table: MomentTable, k_max: int | None = None
 ) -> SeriesValue:
     """Truncated series for P(collected | active) without cooperation.
 
-    Uses the first area moments; the unconditional probability is p times
-    the returned value.
+    ``psi`` is G * lambda.  Uses the first area moments; the unconditional
+    probability is p times the returned value.
     """
     alphas = _first_moments(table, k_max)
-    _check_truncation(params.lam, len(alphas))
-    weights = _poisson_weights(params.lam, len(alphas))
-    raw = _alternating_sum(weights, np.exp(-alphas * params.psi))
+    _check_truncation(lam, len(alphas))
+    weights = _poisson_weights(lam, len(alphas))
+    raw = _alternating_sum(weights, np.exp(-alphas * psi))
     value, clamped = _clamp01(raw)
     return SeriesValue(value, clamped, raw)
 
@@ -222,13 +194,13 @@ def collection_prob_noncoop_finite(
     )
 
 
-def lower_bound_noncoop(params: AsymptoticParams) -> float:
+def lower_bound_noncoop(lam: float, psi: float, p: float) -> float:
     """Empty-double-radius lower bound p (1 - e^-lambda) e^-4psi (loose)."""
-    return params.p * (-math.expm1(-params.lam)) * math.exp(-4.0 * params.psi)
+    return p * (-math.expm1(-lam)) * math.exp(-4.0 * psi)
 
 
 def heuristic_coop(
-    params: AsymptoticParams, table: MomentTable, k_max: int | None = None
+    lam: float, psi: float, table: MomentTable, k_max: int | None = None
 ) -> HeuristicResult:
     """Two-iteration cooperative heuristic: sigma1 -> rho1 -> sigma2.
 
@@ -238,12 +210,12 @@ def heuristic_coop(
     The conditional collection probability is 1 - sigma2.
     """
     alphas = _first_moments(table, k_max)
-    _check_truncation(params.lam, len(alphas))
-    w_lam = _poisson_weights(params.lam, len(alphas))
-    w_psi = _poisson_weights(params.psi, len(alphas))
+    _check_truncation(lam, len(alphas))
+    w_lam = _poisson_weights(lam, len(alphas))
+    w_psi = _poisson_weights(psi, len(alphas))
     flags: list[str] = []
 
-    sigma1_raw = 1.0 - _alternating_sum(w_lam, np.exp(-alphas * params.psi))
+    sigma1_raw = 1.0 - _alternating_sum(w_lam, np.exp(-alphas * psi))
     sigma1, c1 = _clamp01(sigma1_raw)
     if c1:
         flags.append("sigma1")

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from .experiments import (
     render_gbullet_csv,
     render_sweep_csv,
     sweep_load,
+    tabulate_moments,
 )
-from .geometry import MomentTable, format_moment_table, tabulate_moments
+from .geometry import MomentTable, format_moment_table
 from .scenario import SystemParams, generate_instance, parse_instance
 
 DEFAULT_SEED = 20259
@@ -177,10 +178,10 @@ def _cmd_sweep(args) -> int:
         runs_per_point=args.runs,
         seed=args.seed,
         k_max=args.k_max,
-        moment_table_path=args.moment_table,
     )
     manifest.params["r"] = config.r
-    rows = sweep_load(config, workers=_workers(args))
+    table = MomentTable.load(args.moment_table) if args.moment_table is not None else None
+    rows = sweep_load(config, table, workers=_workers(args))
     csv = render_sweep_csv(rows, manifest.render())
     report = compare_report(rows, m=args.m)
     _emit(args, csv, manifest)
@@ -203,20 +204,22 @@ def _cmd_gbullet(args) -> int:
             "runs": args.runs,
         },
     )
+    lambdas = _parse_floats(args.lambdas)
     config = SweepConfig(
         m=args.m,
         p=args.p,
-        lambda_target=max(_parse_floats(args.lambdas)),
+        lambda_target=max(lambdas),
         g_grid=_parse_grid(args.grid),
         runs_per_point=args.runs,
         seed=args.seed,
     )
+    # replace() validates each lambda before any Monte Carlo work.
     manifest.params["r_per_lambda"] = ";".join(
-        format(math.sqrt(lam / (args.m * math.pi)), ".6g") for lam in _parse_floats(args.lambdas)
+        format(replace(config, lambda_target=lam).r, ".6g") for lam in lambdas
     )
     cells = estimate_gbullet(
         config,
-        lambda_grid=_parse_floats(args.lambdas),
+        lambda_grid=lambdas,
         eps_list=_parse_floats(args.eps),
         workers=_workers(args),
     )

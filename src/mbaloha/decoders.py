@@ -121,9 +121,7 @@ class CollectionProbabilities(NamedTuple):
     cooperative: np.ndarray
 
 
-def brute_force_collection_probability(
-    instance: NetworkInstance, p: float | None = None
-) -> CollectionProbabilities:
+def brute_force_collection_probability(instance: NetworkInstance) -> CollectionProbabilities:
     """Exact P(user collected) by enumerating all 2^n activation masks.
 
     The instance's own mask is ignored; each subset S of users is weighted
@@ -131,13 +129,9 @@ def brute_force_collection_probability(
     per user the masks collecting it are counted exactly by subset size
     before the weights are applied, so memory does not grow with 2^n.
     """
-    n = instance.params.n
+    n, p = instance.params.n, instance.params.p
     if n > BRUTE_FORCE_MAX_USERS:
         raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_USERS}, got {n}")
-    if p is None:
-        p = instance.params.p
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
     graph = _all_users_adjacency(instance)
     bits = 1 << np.arange(n)
     # counts[s, u]: masks with s active users in which user u is collected
@@ -164,12 +158,7 @@ class MaskMonteCarlo(NamedTuple):
     n_masks: int
 
 
-def mask_monte_carlo(
-    instance: NetworkInstance,
-    n_masks: int,
-    seed: int,
-    p: float | None = None,
-) -> MaskMonteCarlo:
+def mask_monte_carlo(instance: NetworkInstance, n_masks: int, seed: int) -> MaskMonteCarlo:
     """Estimate per-user collection probabilities over random activation masks.
 
     Masks are drawn and decoded ``MASK_BLOCK`` at a time; the unconditional
@@ -178,9 +167,7 @@ def mask_monte_carlo(
     """
     if n_masks < 1:
         raise ValueError(f"n_masks must be a positive integer, got {n_masks}")
-    n = instance.params.n
-    if p is None:
-        p = instance.params.p
+    n, p = instance.params.n, instance.params.p
     graph = _all_users_adjacency(instance)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     hits_nc = np.zeros(n, dtype=np.int64)

@@ -1,15 +1,16 @@
-"""Monte Carlo load sweeps with analytic overlays, and the max-load metric.
+"""Every Monte Carlo pass: load sweeps with analytic overlays, the max-load
+metric, and the tabulation of area moments.
 
 A sweep fixes (m, p, lambda) and varies the user count n to realize a grid
-of normalized loads G; every (grid point, run) pair draws its own substream
+of normalized loads G; every (grid point, run) slot draws its own substream
 from (seed, n, run), so results are identical for any worker count and any
-grid subset.  A command runs all its slots, those of one sweep or of every
-lambda's sweep for the max-load metric, on one process pool, in a few jobs
-balanced by their total users; a job may span grid points and lambdas.  The
-pooled estimator of P(collected | active) divides total collected by total
-active across runs; the classic per-run estimator (collected / n / p,
-averaged) is exposed as ``paper_prob_*`` and equals mc_T / G_realized
-exactly.
+grid subset.  A command's work items, the slots of one sweep or of every
+lambda's sweep for the max-load metric, or the placements of a tabulation,
+run on one process pool in a few jobs of about equal total weight; a job may
+span grid points and lambdas.  The pooled estimator of P(collected | active)
+divides total collected by total active across runs; the classic per-run
+estimator (collected / n / p, averaged) is exposed as ``paper_prob_*`` and
+equals mc_T / G_realized exactly.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .analytics import (
-    AsymptoticParams,
     collection_prob_noncoop_asymptotic,
     g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
 )
 from .decoders import decode_cooperative, decode_noncooperative
-from .geometry import MomentTable
+from .geometry import MomentTable, placement_alphas
 from .scenario import SystemParams, build_adjacency, disjoint_union, generate_instance
 
 # Slots of one job decoded per kernel call, so memory does not grow with the
@@ -51,14 +52,14 @@ class SweepConfig:
     runs_per_point: int
     seed: int
     k_max: int = 34
-    moment_table_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        # Written so that NaN fails every check.
+        if not self.m >= 1:
             raise ValueError("m must be a positive integer")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.lambda_target <= 0:
+        if not self.lambda_target > 0:
             raise ValueError("lambda_target must be positive")
         if self.r > 0.25:
             raise ValueError(
@@ -67,13 +68,13 @@ class SweepConfig:
             )
         if not self.g_grid:
             raise ValueError("empty load grid")
-        if any(g < 0 for g in self.g_grid):
-            raise ValueError("loads must be nonnegative")
-        if self.runs_per_point < 1:
+        if not all(0 <= g < math.inf for g in self.g_grid):
+            raise ValueError("loads must be finite and nonnegative")
+        if not self.runs_per_point >= 1:
             raise ValueError("runs_per_point must be positive")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
-        if self.k_max < 1:
+        if not self.k_max >= 1:
             raise ValueError("k_max must be positive")
 
     @property
@@ -124,74 +125,80 @@ class GBulletCell:
     gbullet_coop: float
 
 
-def _simulate_runs(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Worker: decode the slots of one job, in order.
+def _run_jobs(work, items, weights, workers: int | None) -> np.ndarray:
+    """Map ``work`` over ``items`` and return its rows in item order.
 
-    A job is a list of segments ``(m, p, r, seed, n, lo, hi)``, each holding
-    runs [lo, hi) of the grid point with n users; run ``run`` draws from
-    (seed, n, run).  The slots are decoded ``RUN_BLOCK`` at a time, each
-    block as the disjoint union of its slots' graphs, whatever grid point or
-    lambda they come from.  Returns per slot the active users and the users
-    collected by each decoder.
+    ``work`` takes a contiguous slice of ``items`` and returns one row per
+    item.  The items are cut into contiguous jobs of about equal total
+    weight, ``JOBS_PER_WORKER`` per worker, which run on one process pool;
+    a single job runs in this process.
     """
-    slots = []
-    for m, p, r, seed, n, lo, hi in job:
-        params = SystemParams(n=n, m=m, r=r, p=p)
-        slots.extend((params, [seed, n, run]) for run in range(lo, hi))
-    active, coll_nc, coll_coop = [], [], []
+    n_jobs = JOBS_PER_WORKER * workers if workers is not None and workers > 1 else 1
+    total = np.cumsum(weights)
+    # Job j ends at the first item where the weight reaches j / n_jobs of the total.
+    ends = np.unique(np.searchsorted(total, total[-1] * np.arange(1, n_jobs + 1) / n_jobs) + 1)
+    if len(ends) == 1:
+        return work(items)
+    jobs = [items[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(work, jobs)))
+
+
+def _simulate_runs(slots) -> np.ndarray:
+    """Worker: decode the given slots, in order.
+
+    Slot ``(params, seed, run)`` is run ``run`` of the grid point with
+    ``params`` and draws from (seed, params.n, run).  The slots are decoded
+    ``RUN_BLOCK`` at a time, each block as the disjoint union of its slots'
+    graphs, whatever grid point or lambda they come from.  Returns one row
+    per slot: the active users and the users collected by each decoder.
+    """
+    counts = []
     for start in range(0, len(slots), RUN_BLOCK):
         graphs = [
-            build_adjacency(generate_instance(params, np.random.default_rng(np.random.SeedSequence(entropy))))
-            for params, entropy in slots[start : start + RUN_BLOCK]
+            build_adjacency(
+                generate_instance(params, np.random.default_rng(np.random.SeedSequence([seed, params.n, run])))
+            )
+            for params, seed, run in slots[start : start + RUN_BLOCK]
         ]
         union = disjoint_union(graphs)
         # The union's users are the slots' users in order, n_users per slot.
         offsets = np.cumsum([0] + [g.n_users for g in graphs[:-1]])
-        active.extend(g.users.size for g in graphs)
-        coll_nc.append(np.add.reduceat(decode_noncooperative(union).collected, offsets, dtype=np.int64))
-        coll_coop.append(np.add.reduceat(decode_cooperative(union).collected, offsets, dtype=np.int64))
-    return np.array(active, dtype=np.int64), np.concatenate(coll_nc), np.concatenate(coll_coop)
+        counts.append(
+            np.stack(
+                [
+                    [g.users.size for g in graphs],
+                    np.add.reduceat(decode_noncooperative(union).collected, offsets, dtype=np.int64),
+                    np.add.reduceat(decode_cooperative(union).collected, offsets, dtype=np.int64),
+                ],
+                axis=1,
+            )
+        )
+    return np.concatenate(counts)
 
 
-def _simulate(
-    configs: list[SweepConfig], workers: int | None
-) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+def _simulate(configs: list[SweepConfig], workers: int | None) -> list[list[np.ndarray]]:
     """One Monte Carlo pass over every live grid point of every config.
 
     Returns, per config and per grid point with n > 0 in grid order, the
-    per-run arrays of ``_simulate_runs``.  The (config, point, run) slots
-    are listed in that order and cut into contiguous jobs of about equal
-    total users, ``JOBS_PER_WORKER`` per worker, which run on one process
-    pool.  Every run draws its own substream, so the cut changes no result.
+    per-run active and collected counts of ``_simulate_runs`` as three rows.
+    The (config, point, run) slots run on ``_run_jobs``, weighted by their
+    users; every slot draws its own substream, so the cut changes no result.
     """
-    points = [(k, c, n) for k, c in enumerate(configs) for n in map(c.realized_users, c.g_grid) if n > 0]
-    by_config: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [[] for _ in configs]
+    points = [
+        (k, SystemParams(n=n, m=c.m, r=c.r, p=c.p), c)
+        for k, c in enumerate(configs)
+        for n in map(c.realized_users, c.g_grid)
+        if n > 0
+    ]
+    by_config: list[list[np.ndarray]] = [[] for _ in configs]
     if not points:
         return by_config
-    runs = [c.runs_per_point for _, c, _ in points]
-    # Slot index of each point's first run; the last entry is the slot count.
-    starts = np.concatenate(([0], np.cumsum(runs)))
-    users = np.cumsum(np.repeat([n for _, _, n in points], runs))
-    n_jobs = JOBS_PER_WORKER * workers if workers is not None and workers > 1 else 1
-    # Job j ends at the first slot where the users reach j / n_jobs of the total.
-    ends = np.unique(np.searchsorted(users, users[-1] * np.arange(1, n_jobs + 1) / n_jobs) + 1)
-    # Between consecutive point starts and job ends lies one segment.
-    bounds = np.union1d(starts, ends)
-    lows = bounds[:-1]
-    point = np.searchsorted(starts, lows, side="right") - 1
-    job = np.searchsorted(ends, lows, side="right")
-    jobs: list[list[tuple]] = [[] for _ in ends]
-    for lo, hi, i, j in zip(lows, bounds[1:], point, job):
-        _, c, n = points[i]
-        jobs[j].append((c.m, c.p, c.r, c.seed, n, int(lo - starts[i]), int(hi - starts[i])))
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_simulate_runs, jobs, chunksize=1))
-    else:
-        done = [_simulate_runs(job) for job in jobs]
-    per_slot = [np.split(np.concatenate(arrays), starts[1:-1]) for arrays in zip(*done)]
-    for (k, _, _), arrays in zip(points, zip(*per_slot)):
-        by_config[k].append(arrays)
+    slots = [(params, c.seed, run) for _, params, c in points for run in range(c.runs_per_point)]
+    counts = _run_jobs(_simulate_runs, slots, [params.n for params, _, _ in slots], workers)
+    starts = np.cumsum([c.runs_per_point for _, _, c in points])[:-1]
+    for (k, _, _), per_run in zip(points, np.split(counts, starts)):
+        by_config[k].append(per_run.T)
     return by_config
 
 
@@ -209,19 +216,16 @@ def _pooled_ratio(collected: np.ndarray, active: np.ndarray) -> tuple[float, flo
     return phat, se
 
 
-def sweep_load(config: SweepConfig, workers: int | None = None) -> list[SweepRow]:
+def sweep_load(
+    config: SweepConfig, table: MomentTable | None = None, workers: int | None = None
+) -> list[SweepRow]:
     """Run both decoders over the load grid and attach analytic columns.
 
-    A missing moment table disables (NaNs) the analytic columns and flags
-    the rows; Monte Carlo columns are always produced.
+    Without a moment table the analytic columns are NaN and the rows
+    flagged; Monte Carlo columns are always produced.
     """
-    table: MomentTable | None = None
-    if config.moment_table_path is not None:
-        table = MomentTable.load(config.moment_table_path)
-        if config.k_max > table.k_max:
-            raise ValueError(
-                f"k_max={config.k_max} exceeds the table's k_max={table.k_max}"
-            )
+    if table is not None and config.k_max > table.k_max:
+        raise ValueError(f"k_max={config.k_max} exceeds the table's k_max={table.k_max}")
     samples = iter(_simulate([config], workers)[0])
     lam = config.m * config.r**2 * math.pi
     rows: list[SweepRow] = []
@@ -251,13 +255,13 @@ def sweep_load(config: SweepConfig, workers: int | None = None) -> list[SweepRow
                 mc_T_noncoop=float(nc.sum()) / (runs * config.m),
                 mc_T_coop=float(coop.sum()) / (runs * config.m),
             )
-        asym = AsymptoticParams.from_load(lam, g_real, config.p)
-        lower = lower_bound_noncoop(asym) / config.p
+        psi = g_real * lam
+        lower = lower_bound_noncoop(lam, psi, config.p) / config.p
         if table is not None:
-            series = collection_prob_noncoop_asymptotic(asym, table, config.k_max)
+            series = collection_prob_noncoop_asymptotic(lam, psi, table, config.k_max)
             if series.clamped:
                 flags.append("analytic_noncoop")
-            heur = heuristic_coop(asym, table, config.k_max)
+            heur = heuristic_coop(lam, psi, table, config.k_max)
             flags.extend(f"coop_{name}" for name in heur.clamped)
             analytic_nc = series.value
             analytic_coop = heur.conditional
@@ -301,7 +305,7 @@ def estimate_gbullet(
         sub_seed = int(
             np.random.SeedSequence([config.seed, lam_bits]).generate_state(1, np.uint64)[0]
         )
-        subs.append(replace(config, lambda_target=lam, seed=sub_seed, moment_table_path=None))
+        subs.append(replace(config, lambda_target=lam, seed=sub_seed))
     cells: list[GBulletCell] = []
     for lam, sub, samples in zip(lambda_grid, subs, _simulate(subs, workers)):
         grid = [n * sub.p / sub.m for n in map(sub.realized_users, sub.g_grid) if n > 0]
@@ -317,6 +321,52 @@ def estimate_gbullet(
                 )
             )
     return cells
+
+
+def tabulate_moments(
+    k_max: int,
+    s_max: int,
+    placements_per_k: int,
+    samples_per_placement: int,
+    seed: int,
+    workers: int | None = None,
+) -> MomentTable:
+    """Monte Carlo tabulation of the moments ``E[alpha_k^s]``.
+
+    Each placement nests k = 2..k_max: its first k centers give alpha_k,
+    all from one point set.  Placement j samples from an independent
+    substream derived from ``(seed, j)``, so the result is identical for any
+    worker count.  The placements run on ``_run_jobs``, equally weighted;
+    moments are computed in a single aggregation pass, one k at a time.
+    """
+    for name, v in (
+        ("k_max", k_max),
+        ("s_max", s_max),
+        ("placements_per_k", placements_per_k),
+        ("samples_per_placement", samples_per_placement),
+    ):
+        if v < 1:
+            raise ValueError(f"{name} must be positive, got {v}")
+    moments = np.ones((k_max, s_max))
+    stderrs = np.zeros((k_max, s_max))
+    if k_max > 1:
+        work = partial(placement_alphas, seed, k_max, samples_per_placement)
+        alphas = _run_jobs(work, range(placements_per_k), np.ones(placements_per_k), workers)
+        powers = np.arange(1, s_max + 1)
+        for k in range(2, k_max + 1):
+            pw = alphas[:, k - 2, None] ** powers[None, :]
+            moments[k - 1] = pw.mean(axis=0)
+            if placements_per_k > 1:
+                stderrs[k - 1] = pw.std(axis=0, ddof=1) / math.sqrt(placements_per_k)
+    return MomentTable(
+        k_max=k_max,
+        s_max=s_max,
+        moments=moments,
+        placements_per_k=placements_per_k,
+        samples_per_placement=samples_per_placement,
+        seed=seed,
+        stderrs=stderrs,
+    )
 
 
 def _fmt_estimate(v: float) -> str:

@@ -10,7 +10,6 @@ centers give alpha_k, and cached to a plain-text table.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -147,23 +146,9 @@ class MomentTable:
             if np.any(hi > 4.0 * lo):
                 raise MomentTableError("moment ratio between adjacent s exceeds 4")
 
-    def moment(self, k: int, s: int = 1) -> float:
-        """The s-th moment for k disks (``s=0`` is the trivial unit moment)."""
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k={k} outside tabulated range 1..{self.k_max}")
-        if s == 0:
-            return 1.0
-        if not 1 <= s <= self.s_max:
-            raise ValueError(f"s={s} outside tabulated range 1..{self.s_max}")
-        return float(self.moments[k - 1, s - 1])
-
     @property
     def first_moments(self) -> np.ndarray:
         return self.moments[:, 0]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(format_moment_table(self))
 
     @classmethod
     def load(cls, path) -> "MomentTable":
@@ -272,67 +257,14 @@ def quadrature_first_moments(k_max: int) -> MomentTable:
     )
 
 
-def _alpha_block(args) -> np.ndarray:
-    """alpha_2..alpha_k_max of placements lo..hi-1, one row per placement."""
-    seed, k_max, lo, hi, samples = args
+def placement_alphas(seed: int, k_max: int, samples: int, placements) -> np.ndarray:
+    """alpha_2..alpha_k_max of each placement j in ``placements``, one row each.
+
+    Placement j draws its k_max centers and its sample points from the
+    substream (seed, j), so its row does not depend on the other placements.
+    """
     rows = []
-    for j in range(lo, hi):
+    for j in placements:
         rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
         rows.append(disk_union_area(sample_unit_disk(rng, k_max), samples, rng).alpha[1:])
     return np.array(rows)
-
-
-def tabulate_moments(
-    k_max: int,
-    s_max: int,
-    placements_per_k: int,
-    samples_per_placement: int,
-    seed: int,
-    workers: int | None = None,
-) -> MomentTable:
-    """Monte Carlo tabulation of the moments ``E[alpha_k^s]``.
-
-    Each placement nests k = 2..k_max: its first k centers give alpha_k,
-    all from one point set.  Placement j samples from an independent
-    substream derived from ``(seed, j)``, so the result is identical for any
-    worker count.  Workers only produce per-placement alpha values; moments
-    are computed in a single aggregation pass, one k at a time.
-    """
-    for name, v in (
-        ("k_max", k_max),
-        ("s_max", s_max),
-        ("placements_per_k", placements_per_k),
-        ("samples_per_placement", samples_per_placement),
-    ):
-        if v < 1:
-            raise ValueError(f"{name} must be positive, got {v}")
-
-    block = 128
-    jobs = [
-        (seed, k_max, lo, min(lo + block, placements_per_k), samples_per_placement)
-        for lo in range(0, placements_per_k if k_max > 1 else 0, block)
-    ]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_alpha_block, jobs))
-    else:
-        blocks = [_alpha_block(job) for job in jobs]
-    alphas = np.concatenate(blocks) if blocks else None
-
-    moments = np.ones((k_max, s_max))
-    stderrs = np.zeros((k_max, s_max))
-    powers = np.arange(1, s_max + 1)
-    for k in range(2, k_max + 1):
-        pw = alphas[:, k - 2, None] ** powers[None, :]
-        moments[k - 1] = pw.mean(axis=0)
-        if placements_per_k > 1:
-            stderrs[k - 1] = pw.std(axis=0, ddof=1) / math.sqrt(placements_per_k)
-    return MomentTable(
-        k_max=k_max,
-        s_max=s_max,
-        moments=moments,
-        placements_per_k=placements_per_k,
-        samples_per_placement=samples_per_placement,
-        seed=seed,
-        stderrs=stderrs,
-    )

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mbaloha.geometry import MomentTable, tabulate_moments
+from mbaloha.experiments import tabulate_moments
+from mbaloha.geometry import MomentTable
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")

@@ -17,7 +17,6 @@ import pytest
 from conftest import DEFAULT_TABLE, rng_from, workers
 from laws import lambda_min, single_station
 from mbaloha.analytics import (
-    AsymptoticParams,
     collection_prob_noncoop_asymptotic,
     g_bullet_from_values,
     heuristic_coop,
@@ -30,8 +29,8 @@ from mbaloha.decoders import (
     decode_noncooperative,
     mask_monte_carlo,
 )
-from mbaloha.experiments import SweepConfig, estimate_gbullet, sweep_load
-from mbaloha.geometry import MomentTable, tabulate_moments
+from mbaloha.experiments import SweepConfig, estimate_gbullet, sweep_load, tabulate_moments
+from mbaloha.geometry import MomentTable
 from mbaloha.scenario import SystemParams, coverage_probability, generate_instance
 from test_analytics import quadrature_mean_alpha
 from topologies import ten_user_showcase
@@ -56,7 +55,7 @@ def shipped_table():
     return MomentTable.load(DEFAULT_TABLE)
 
 
-def _throughput_sweep(lam: float) -> list:
+def _throughput_sweep(lam: float, table: MomentTable) -> list:
     config = SweepConfig(
         m=100,
         p=0.25,
@@ -65,19 +64,18 @@ def _throughput_sweep(lam: float) -> list:
         runs_per_point=1000,
         seed=ACCEPT_SEED,
         k_max=34,
-        moment_table_path=str(DEFAULT_TABLE),
     )
-    return sweep_load(config, workers=workers())
+    return sweep_load(config, table, workers=workers())
 
 
 @pytest.fixture(scope="session")
 def sweep_lam3(shipped_table):
-    return _throughput_sweep(3.0)
+    return _throughput_sweep(3.0, shipped_table)
 
 
 @pytest.fixture(scope="session")
 def sweep_lam6(shipped_table):
-    return _throughput_sweep(6.0)
+    return _throughput_sweep(6.0, shipped_table)
 
 
 def test_criterion_1_coverage_constants():
@@ -238,12 +236,13 @@ def test_criterion_7_lemma_lower_bound(shipped_table):
     worst_gap = math.inf
     for lam in np.arange(1.0, 6.01, 0.1):
         for g in np.arange(0.0, 1.001, 0.1):
-            ap = AsymptoticParams.from_load(round(float(lam), 10), round(float(g), 10), 0.25)
-            series = collection_prob_noncoop_asymptotic(ap, shipped_table, k_max=50)
+            lam_r = round(float(lam), 10)
+            psi = round(float(g), 10) * lam_r
+            series = collection_prob_noncoop_asymptotic(lam_r, psi, shipped_table, k_max=50)
             if series.clamped:
                 clamped += 1
                 continue
-            bound = lower_bound_noncoop(ap) / ap.p
+            bound = lower_bound_noncoop(lam_r, psi, 0.25) / 0.25
             worst_gap = min(worst_gap, series.value - bound)
             if bound > series.value + 1e-12:
                 analytic_ok = False
@@ -255,7 +254,7 @@ def test_criterion_7_lemma_lower_bound(shipped_table):
     mc_ok = True
     for lam, g, seed in spots:
         mc, se = _lemma_spot_check((lam, g, seed))
-        bound = lower_bound_noncoop(AsymptoticParams.from_load(lam, g, 0.25)) / 0.25
+        bound = lower_bound_noncoop(lam, g * lam, 0.25) / 0.25
         if bound > mc + 3 * se:
             mc_ok = False
     ok = analytic_ok and mc_ok
@@ -276,7 +275,7 @@ def test_criterion_8_heuristic_trend(shipped_table, sweep_lam3):
         worst = max(worst, abs(heuristic_t - row.mc_T_coop))
     exact_ok = True
     for lam in (3.0, 6.0):
-        res = heuristic_coop(AsymptoticParams.from_load(lam, 0.0, 0.25), shipped_table, k_max=34)
+        res = heuristic_coop(lam, 0.0, shipped_table, k_max=34)
         if abs(res.state.sigma2 - math.exp(-lam)) > 1e-12 or res.state.rho1 != 0.0:
             exact_ok = False
     ok = worst <= 0.05 and exact_ok

@@ -7,7 +7,6 @@ from scipy import integrate, optimize
 from conftest import rng_from
 from laws import g_bullet, single_station
 from mbaloha.analytics import (
-    AsymptoticParams,
     collection_prob_noncoop_asymptotic,
     collection_prob_noncoop_finite,
     g_bullet_from_values,
@@ -41,23 +40,6 @@ def quad_table() -> MomentTable:
     return MomentTable(
         k_max=80, s_max=1, moments=moments, placements_per_k=1, samples_per_placement=1, seed=0
     )
-
-
-class TestAsymptoticParams:
-    def test_from_load(self):
-        ap = AsymptoticParams.from_load(3.0, 0.4, 0.25)
-        assert ap.psi == pytest.approx(1.2, rel=1e-15)
-
-    def test_from_system_consistency(self):
-        sp = SystemParams(n=240, m=100, r=0.09772, p=0.25)
-        ap = AsymptoticParams.from_system(sp)
-        assert ap.lam == sp.lam
-        assert ap.psi == sp.psi
-        assert ap.load_g == sp.load_g
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            AsymptoticParams(lam=3.0, psi=1.0, load_g=0.5, p=0.5)
 
 
 class TestZeta:
@@ -97,42 +79,36 @@ class TestZeta:
 
 class TestNoncoopAsymptotic:
     def test_zero_interference_reduces_to_coverage(self, quad_table):
-        ap = AsymptoticParams.from_load(3.0, 0.0, 0.25)
-        value = collection_prob_noncoop_asymptotic(ap, quad_table, k_max=34).value
+        value = collection_prob_noncoop_asymptotic(3.0, 0.0, quad_table, k_max=34).value
         assert value == pytest.approx(coverage_probability(3.0), abs=1e-6)
         assert value == pytest.approx(0.9502, abs=1e-4)
 
     def test_coverage_limit_across_lambdas(self, quad_table):
         for lam in (1.0, 2.0, 4.0, 6.0):
             k_max = max(20, math.ceil(10 * lam))
-            ap = AsymptoticParams.from_load(lam, 0.0, 1.0)
-            value = collection_prob_noncoop_asymptotic(ap, quad_table, k_max=k_max).value
+            value = collection_prob_noncoop_asymptotic(lam, 0.0, quad_table, k_max=k_max).value
             assert value == pytest.approx(coverage_probability(lam), abs=1e-6)
 
     def test_lambda_zero_gives_zero(self, quad_table):
-        ap = AsymptoticParams.from_load(0.0, 0.0, 0.5)
-        assert collection_prob_noncoop_asymptotic(ap, quad_table).value == 0.0
+        assert collection_prob_noncoop_asymptotic(0.0, 0.0, quad_table).value == 0.0
 
     def test_truncation_sanity_34_vs_50(self, quad_table):
         for lam in (1.0, 3.0, 6.0):
             for g in (0.0, 0.5, 1.0):
-                ap = AsymptoticParams.from_load(lam, g, 0.25)
-                v34 = collection_prob_noncoop_asymptotic(ap, quad_table, k_max=34).value
-                v50 = collection_prob_noncoop_asymptotic(ap, quad_table, k_max=50).value
+                v34 = collection_prob_noncoop_asymptotic(lam, g * lam, quad_table, k_max=34).value
+                v50 = collection_prob_noncoop_asymptotic(lam, g * lam, quad_table, k_max=50).value
                 assert abs(v34 - v50) < 1e-4
 
     def test_truncation_warning_and_clamp_flag(self, quad_table):
-        ap = AsymptoticParams.from_load(30.0, 0.0, 0.5)
         with pytest.warns(UserWarning, match="k_max"):
-            result = collection_prob_noncoop_asymptotic(ap, quad_table, k_max=6)
+            result = collection_prob_noncoop_asymptotic(30.0, 0.0, quad_table, k_max=6)
         assert result.clamped
         assert 0.0 <= result.value <= 1.0
         assert result.raw != result.value
 
     def test_k_max_beyond_table_rejected(self, quad_table):
-        ap = AsymptoticParams.from_load(1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
-            collection_prob_noncoop_asymptotic(ap, quad_table, k_max=81)
+            collection_prob_noncoop_asymptotic(1.0, 0.1, quad_table, k_max=81)
 
 
 class TestNoncoopFinite:
@@ -201,8 +177,7 @@ class TestNoncoopFinite:
         # Finite formula approaches the asymptotic series as n, m grow at
         # fixed lambda, psi.
         lam, g, p = 3.0, 0.25, 0.25
-        ap = AsymptoticParams.from_load(lam, g, p)
-        asym = collection_prob_noncoop_asymptotic(ap, default_table, k_max=40).value
+        asym = collection_prob_noncoop_asymptotic(lam, g * lam, default_table, k_max=40).value
         for m in (60, 150):
             r = math.sqrt(lam / (m * math.pi))
             n = round(g * m / p)
@@ -213,32 +188,28 @@ class TestNoncoopFinite:
 
 class TestLowerBound:
     def test_zero_interference(self):
-        ap = AsymptoticParams.from_load(2.0, 0.0, 0.3)
-        assert lower_bound_noncoop(ap) == pytest.approx(0.3 * (1 - math.exp(-2)), rel=1e-12)
+        assert lower_bound_noncoop(2.0, 0.0, 0.3) == pytest.approx(0.3 * (1 - math.exp(-2)), rel=1e-12)
 
     def test_arithmetic_example(self):
-        ap = AsymptoticParams.from_load(3.0, 0.25, 1.0)
-        assert lower_bound_noncoop(ap) == pytest.approx(
-            (1 - math.exp(-3)) * math.exp(-3.0), rel=1e-12
-        )
-        assert lower_bound_noncoop(ap) == pytest.approx(0.0473, abs=1e-4)
+        bound = lower_bound_noncoop(3.0, 0.25 * 3.0, 1.0)
+        assert bound == pytest.approx((1 - math.exp(-3)) * math.exp(-3.0), rel=1e-12)
+        assert bound == pytest.approx(0.0473, abs=1e-4)
 
     def test_bound_below_series_on_grid(self, quad_table):
         for lam in np.arange(1.0, 6.01, 0.1):
             for g in np.arange(0.0, 1.01, 0.1):
-                ap = AsymptoticParams.from_load(float(lam), float(g), 0.5)
-                series = collection_prob_noncoop_asymptotic(ap, quad_table, k_max=60)
+                psi = float(g) * float(lam)
+                series = collection_prob_noncoop_asymptotic(float(lam), psi, quad_table, k_max=60)
                 if series.clamped:
                     continue
-                bound = lower_bound_noncoop(ap) / ap.p
+                bound = lower_bound_noncoop(float(lam), psi, 0.5) / 0.5
                 assert bound <= series.value + 1e-12
 
 
 class TestHeuristic:
     def test_zero_interference_reduction_is_exact(self, quad_table):
         for lam in (1.0, 3.0, 6.0):
-            ap = AsymptoticParams.from_load(lam, 0.0, 0.25)
-            res = heuristic_coop(ap, quad_table, k_max=34)
+            res = heuristic_coop(lam, 0.0, quad_table, k_max=34)
             assert res.state.rho1 == 0.0
             assert res.state.sigma1 == res.state.sigma2
             assert res.state.sigma2 == pytest.approx(math.exp(-lam), abs=1e-12)
@@ -247,21 +218,18 @@ class TestHeuristic:
     def test_cooperation_never_hurts_on_grid(self, quad_table):
         for lam in np.arange(1.0, 6.01, 0.5):
             for g in np.arange(0.0, 1.01, 0.1):
-                ap = AsymptoticParams.from_load(float(lam), float(g), 0.25)
-                res = heuristic_coop(ap, quad_table, k_max=50)
+                res = heuristic_coop(float(lam), float(g) * float(lam), quad_table, k_max=50)
                 if res.clamped:
                     continue
                 assert res.state.sigma2 <= res.state.sigma1 + 1e-12
 
     def test_conditional_is_one_minus_sigma2(self, quad_table):
-        ap = AsymptoticParams.from_load(3.0, 0.5, 0.25)
-        res = heuristic_coop(ap, quad_table, k_max=34)
+        res = heuristic_coop(3.0, 0.5 * 3.0, quad_table, k_max=34)
         assert res.conditional == pytest.approx(1.0 - res.state.sigma2, rel=1e-15)
 
     def test_clamping_flags_fire_for_abusive_truncation(self, quad_table):
-        ap = AsymptoticParams.from_load(30.0, 0.0, 0.5)
         with pytest.warns(UserWarning):
-            res = heuristic_coop(ap, quad_table, k_max=6)
+            res = heuristic_coop(30.0, 0.0, quad_table, k_max=6)
         assert res.clamped  # at least one stage left [0, 1]
         for v in (res.state.sigma1, res.state.rho1, res.state.sigma2):
             assert 0.0 <= v <= 1.0
@@ -303,8 +271,7 @@ class TestGBullet:
 
     def test_monotone_in_eps(self, quad_table):
         def evaluator(g: float) -> float:
-            ap = AsymptoticParams.from_load(3.0, g, 0.25)
-            return collection_prob_noncoop_asymptotic(ap, quad_table, k_max=40).value
+            return collection_prob_noncoop_asymptotic(3.0, g * 3.0, quad_table, k_max=40).value
 
         values = [g_bullet(3.0, eps, evaluator) for eps in (0.06, 0.1, 0.2, 0.4)]
         assert values == sorted(values)

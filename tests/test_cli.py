@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mbaloha import cli
-from mbaloha.geometry import MomentTable, tabulate_moments
+from mbaloha.experiments import tabulate_moments
+from mbaloha.geometry import MomentTable, format_moment_table
 from mbaloha.scenario import NetworkInstance, SystemParams, dump_instance
 
 
@@ -25,7 +26,7 @@ def run_cli(*args, cwd=None):
 def table_path(tmp_path_factory):
     table = tabulate_moments(k_max=6, s_max=8, placements_per_k=300, samples_per_placement=2000, seed=99)
     path = tmp_path_factory.mktemp("cli_tables") / "table.txt"
-    table.save(path)
+    path.write_text(format_moment_table(table), encoding="ascii")
     return str(path)
 
 
@@ -123,6 +124,19 @@ class TestSweepCommand:
         res = run_cli(*self.BASE, "--grid", "0:1", "--no-analytic")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid", "0.1,nan"], "loads must be finite and nonnegative"),
+            (["--grid", "0.2", "--lambda", "nan"], "lambda_target must be positive"),
+        ],
+        ids=["nan_load", "nan_lambda"],
+    )
+    def test_nan_rejected_before_simulation(self, flags, message):
+        res = run_cli(*self.BASE, *flags, "--no-analytic")
+        assert res.returncode == 2
+        assert message in res.stderr
+
 
 class TestGbulletCommand:
     BASE = ["gbullet", "--m", "10", "--p", "0.5", "--grid", "0:0.2:0.1", "--runs", "3"]
@@ -139,6 +153,12 @@ class TestGbulletCommand:
         row = res.stdout.splitlines()[2].split(",")
         assert float(row[2]) == 0.0
         assert float(row[3]) == 0.0
+
+    @pytest.mark.parametrize("lambdas", ["0.5,-1", "0.5,nan"])
+    def test_invalid_lambda_rejected_before_simulation(self, lambdas):
+        res = run_cli(*self.BASE, "--lambdas", lambdas, "--eps", "0.4")
+        assert res.returncode == 2
+        assert "lambda_target must be positive" in res.stderr
 
     def test_subset_rerun_matches(self):
         full = run_cli(*self.BASE, "--lambdas", "0.5,0.8", "--eps", "0.4", "--seed", "3")
@@ -226,34 +246,43 @@ class TestOracleCommand:
 class TestOutputDigests:
     """Fixed-seed outputs pinned by digest, so that a change to an RNG stream,
     to the decoders or to the counting shows up as a failure.  The manifest
-    line is part of the file, so a version bump changes the digests too."""
+    line is part of the file, so a version bump changes the digests too.
+    Each output is pinned in one process and on a pool of two workers."""
 
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            (
-                ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
-                 "--seed", "11", "--no-analytic"],
-                "c4ac4949a118c54ea854529894d62a12f2448f6b33a426acf04c5bff21318296",
-            ),
-            (
-                ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
-                 "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
-                "d783b94b85c4423ddc3685ac897b63cd7de0ec2757f281a6c669ea9a1b0e390b",
-            ),
-            (
-                ["tabulate", "--k-max", "6", "--s-max", "4", "--placements", "40", "--samples", "3000",
-                 "--seed", "3"],
-                "27dcf7f85684f06dbc90998817f7d9f1272b43611459b6579c44e82dc70bc2f1",
-            ),
-        ],
-        ids=["sweep", "gbullet", "tabulate"],
-    )
-    def test_fixed_seed_output_digest(self, tmp_path, args, digest):
+    CASES = [
+        pytest.param(
+            ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
+             "--seed", "11", "--no-analytic"],
+            "c4ac4949a118c54ea854529894d62a12f2448f6b33a426acf04c5bff21318296",
+            id="sweep",
+        ),
+        pytest.param(
+            ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
+             "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
+            "d783b94b85c4423ddc3685ac897b63cd7de0ec2757f281a6c669ea9a1b0e390b",
+            id="gbullet",
+        ),
+        pytest.param(
+            ["tabulate", "--k-max", "6", "--s-max", "4", "--placements", "40", "--samples", "3000",
+             "--seed", "3"],
+            "27dcf7f85684f06dbc90998817f7d9f1272b43611459b6579c44e82dc70bc2f1",
+            id="tabulate",
+        ),
+    ]
+
+    def _digest(self, tmp_path, args, threads):
         out = tmp_path / "out.csv"
-        res = run_cli(*args, "--threads", "1", "--out", str(out))
+        res = run_cli(*args, "--threads", threads, "--out", str(out))
         assert res.returncode == 0, res.stderr
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("args, digest", CASES)
+    def test_fixed_seed_output_digest(self, tmp_path, args, digest):
+        assert self._digest(tmp_path, args, "1") == digest
+
+    @pytest.mark.parametrize("args, digest", CASES)
+    def test_fixed_seed_output_digest_on_two_workers(self, tmp_path, args, digest):
+        assert self._digest(tmp_path, args, "2") == digest
 
 
 class TestUsageErrors:

@@ -173,9 +173,9 @@ class TestBruteForce:
         assert np.allclose(exact.noncooperative, 0.4 * 0.6, atol=1e-15)
         assert np.allclose(exact.cooperative, 0.4 * 0.6, atol=1e-15)
 
-    def test_p_override_and_p_one(self):
-        inst = self._colocated_instance(2, 2, [[0.1, 0.0], [-0.1, 0.0]], [[0.1, 0.0], [-0.1, 0.0]], p=0.5)
-        exact = brute_force_collection_probability(inst, p=1.0)
+    def test_p_one(self):
+        inst = self._colocated_instance(2, 2, [[0.1, 0.0], [-0.1, 0.0]], [[0.1, 0.0], [-0.1, 0.0]], p=1.0)
+        exact = brute_force_collection_probability(inst)
         assert np.allclose(exact.noncooperative, 1.0)
 
     @given(small_params.filter(lambda sp: sp.n <= 10), st.integers(0, 10_000))

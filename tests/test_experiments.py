@@ -12,17 +12,38 @@ from mbaloha.experiments import (
     render_gbullet_csv,
     render_sweep_csv,
     sweep_load,
+    tabulate_moments,
 )
 
 
 @pytest.fixture(scope="module")
-def tiny_table_path(tmp_path_factory):
-    from mbaloha.geometry import tabulate_moments
+def sweep_table():
+    return tabulate_moments(k_max=6, s_max=2, placements_per_k=400, samples_per_placement=3000, seed=55)
 
-    table = tabulate_moments(k_max=6, s_max=2, placements_per_k=400, samples_per_placement=3000, seed=55)
-    path = tmp_path_factory.mktemp("tables") / "tiny.txt"
-    table.save(path)
-    return str(path)
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Swaps the process pool for one that runs ``map`` in this process;
+    returns the executors opened while the test runs, each with its jobs."""
+    opened = []
+
+    class CountingExecutor:
+        def __init__(self, max_workers=None):
+            self.jobs = []
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, iterable, chunksize=1):
+            self.jobs = list(iterable)
+            return [fn(job) for job in self.jobs]
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingExecutor)
+    return opened
 
 
 def small_config(**overrides):
@@ -59,6 +80,9 @@ class TestSweepConfig:
             dict(runs_per_point=0),
             dict(seed=-1),
             dict(k_max=0),
+            dict(lambda_target=math.nan),
+            dict(g_grid=(0.1, math.nan)),
+            dict(g_grid=(0.1, math.inf)),
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -120,17 +144,17 @@ class TestSweepLoad:
             assert "no_analytic" in row.clamp_flags
             assert not math.isnan(row.lower_bound)
 
-    def test_analytic_columns_with_table(self, tiny_table_path):
-        rows = sweep_load(small_config(moment_table_path=tiny_table_path))
+    def test_analytic_columns_with_table(self, sweep_table):
+        rows = sweep_load(small_config(), sweep_table)
         live = [r for r in rows if r.n > 0]
         for row in live:
             assert 0.0 <= row.analytic_prob_noncoop <= 1.0
             assert 0.0 <= row.analytic_prob_coop <= 1.0
             assert row.lower_bound <= row.analytic_prob_noncoop + 1e-9
 
-    def test_k_max_above_table_rejected(self, tiny_table_path):
+    def test_k_max_above_table_rejected(self, sweep_table):
         with pytest.raises(ValueError, match="k_max"):
-            sweep_load(small_config(moment_table_path=tiny_table_path, k_max=10))
+            sweep_load(small_config(k_max=10), sweep_table)
 
     def test_paper_estimator_identity(self):
         for row in sweep_load(small_config()):
@@ -187,16 +211,16 @@ class TestCompareReport:
         assert "peak T coop" in report
         assert "single-station baseline" in report
 
-    def test_reports_deviation_with_table(self, tiny_table_path):
-        rows = sweep_load(small_config(moment_table_path=tiny_table_path))
+    def test_reports_deviation_with_table(self, sweep_table):
+        rows = sweep_load(small_config(), sweep_table)
         report = compare_report(rows, m=20)
         assert "max |analytic - mc| noncoop" in report
         assert "un-normalized" in report
 
-    def test_byte_identical_rerun(self, tiny_table_path):
-        cfg = small_config(moment_table_path=tiny_table_path)
-        a = compare_report(sweep_load(cfg), m=20)
-        b = compare_report(sweep_load(cfg), m=20)
+    def test_byte_identical_rerun(self, sweep_table):
+        cfg = small_config()
+        a = compare_report(sweep_load(cfg, sweep_table), m=20)
+        b = compare_report(sweep_load(cfg, sweep_table), m=20)
         assert a == b
 
 
@@ -212,41 +236,22 @@ class TestEstimateGbullet:
         cells = [estimate_gbullet(cfg, (1.5, 2.0, 3.0), (0.3, 0.5), workers=w) for w in (1, 2, 3)]
         assert cells[0] == cells[1] == cells[2]
 
-    def test_one_pool_of_balanced_jobs(self, monkeypatch):
-        opened = []
-
-        class CountingExecutor:
-            """Runs ``map`` in this process and records the jobs it was given."""
-
-            def __init__(self, max_workers=None):
-                self.jobs = []
-                opened.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, iterable, chunksize=1):
-                self.jobs = list(iterable)
-                return [fn(job) for job in self.jobs]
-
+    def test_one_pool_of_balanced_jobs(self, counting_pool):
         cfg = small_config(g_grid=(0.0, 0.1, 0.2, 0.3), runs_per_point=12)
         lambdas = (1.5, 2.0, 3.0)
         want = estimate_gbullet(cfg, lambdas, (0.3, 0.5), workers=1)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingExecutor)
+        assert counting_pool == []  # one job runs in this process
         assert estimate_gbullet(cfg, lambdas, (0.3, 0.5), workers=2) == want
-        assert len(opened) == 1
-        jobs = opened[0].jobs
+        assert len(counting_pool) == 1
+        jobs = counting_pool[0].jobs
         assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
-        # Segments are (m, p, r, seed, n, lo, hi); every job's users lie
-        # within one slot's users of an equal share.
-        users = [sum(n * (hi - lo) for _, _, _, _, n, lo, hi in job) for job in jobs]
-        largest = max(seg[4] for job in jobs for seg in job)
+        # Slots are (params, seed, run); every job's users lie within one
+        # slot's users of an equal share.
+        users = [sum(params.n for params, _, _ in job) for job in jobs]
+        largest = max(params.n for job in jobs for params, _, _ in job)
         assert all(abs(u - sum(users) / len(jobs)) < largest for u in users)
         assert sum(users) == len(lambdas) * 12 * sum(cfg.realized_users(g) for g in cfg.g_grid)
-        assert any(len({seg[3] for seg in job}) > 1 for job in jobs)  # a job spans two lambdas
+        assert any(len({seed for _, seed, _ in job}) > 1 for job in jobs)  # a job spans two lambdas
 
     def test_subset_rerun_matches_full(self):
         cfg = small_config(g_grid=(0.0, 0.1, 0.2, 0.3), runs_per_point=30)
@@ -269,3 +274,17 @@ class TestEstimateGbullet:
         coop = [c.gbullet_coop for c in cells]
         assert nc == sorted(nc)
         assert coop == sorted(coop)
+
+
+class TestTabulateMoments:
+    def test_one_pool_bit_identical_to_one_process(self, counting_pool):
+        kwargs = dict(k_max=4, s_max=3, placements_per_k=300, samples_per_placement=200, seed=31)
+        serial = tabulate_moments(**kwargs, workers=1)
+        assert counting_pool == []
+        pooled = tabulate_moments(**kwargs, workers=2)
+        assert len(counting_pool) == 1
+        jobs = counting_pool[0].jobs
+        assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
+        assert [j for job in jobs for j in job] == list(range(300))  # one item per placement
+        assert np.array_equal(pooled.moments, serial.moments)
+        assert np.array_equal(pooled.stderrs, serial.stderrs)

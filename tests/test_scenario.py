@@ -59,6 +59,11 @@ class TestSystemParams:
         assert params.lam == pytest.approx(100 * 0.0977**2 * math.pi)
         assert params.psi == pytest.approx(params.load_g * params.lam, rel=1e-12)
 
+    def test_psi_is_load_times_lambda(self):
+        # The analytic formulas take psi as G * lambda.
+        params = SystemParams(n=240, m=100, r=0.09772, p=0.25)
+        assert params.psi == pytest.approx(params.load_g * params.lam, rel=1e-12)
+
 
 class TestGenerateInstance:
     def test_p_one_all_active(self):
