@@ -241,6 +241,22 @@ def throughput(load_g: float, conditional_prob: float) -> float:
     return load_g * conditional_prob
 
 
+def _moving_average3(vals: np.ndarray) -> np.ndarray:
+    """Centered moving average over windows of 3 points, 2 at the ends.
+
+    Each window's sum is added left to right, as ``.mean()`` adds it, and
+    divided by the window's length, so point i is bit for bit
+    ``vals[max(0, i - 1) : i + 2].mean()``.
+    """
+    if vals.size < 2:
+        return vals
+    pairs = vals[:-1] + vals[1:]
+    sums = np.concatenate([pairs[:1], pairs[:-1] + vals[2:], pairs[-1:]])
+    counts = np.full(vals.size, 3.0)
+    counts[[0, -1]] = 2.0
+    return sums / counts
+
+
 def g_bullet_from_values(
     lam: float,
     eps: float,
@@ -266,11 +282,8 @@ def g_bullet_from_values(
         raise ValueError("smooth_window must be 1 (off) or 3")
     if 1.0 - eps > coverage_probability(lam):
         return 0.0
-    if smooth_window == 3 and vals.size >= 2:
-        smoothed = np.empty_like(vals)
-        for i in range(vals.size):
-            smoothed[i] = vals[max(0, i - 1) : i + 2].mean()
-        vals = smoothed
+    if smooth_window == 3:
+        vals = _moving_average3(vals)
     qualifying = grid[vals >= 1.0 - eps]
     return float(qualifying.max()) if qualifying.size else 0.0
 

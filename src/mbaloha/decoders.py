@@ -51,19 +51,21 @@ def _peel(
     never.  So round one (non-cooperative) is ``rounds == 1``, the final set
     (cooperative) is ``rounds > 0``, and the users collected per round of
     each component are a ``bincount`` of the nonzero entries.  Every round
-    up to the last delivers at least one user; ``max_rounds`` stops peeling
-    early.
+    up to the last delivers at least one user; a positive ``max_rounds``
+    stops peeling once that many rounds are done.
     """
     rounds = np.zeros(n_columns, dtype=np.int64)
     r = 0
     # Edges are selected by index (flatnonzero, then gathers): on the
     # irregular masks of peeling that is faster than boolean indexing.
-    while station.size and (max_rounds is None or r < max_rounds):
+    while station.size:
         alone = np.flatnonzero(np.bincount(station, minlength=n_stations)[station] == 1)
         if not alone.size:
             break
         r += 1
         rounds[column[alone]] = r
+        if r == max_rounds:
+            break
         live = np.flatnonzero(rounds[column] == 0)
         station, column = station[live], column[live]
     return rounds

@@ -7,10 +7,12 @@ from (seed, n, run), so results are identical for any worker count and any
 grid subset.  A command's work items, the slots of one sweep or of every
 lambda's sweep for the max-load metric, or the placements of a tabulation,
 run on one process pool in a few jobs of about equal total weight; a job may
-span grid points and lambdas.  The pooled estimator of P(collected | active)
-divides total collected by total active across runs; the classic per-run
-estimator (collected / n / p, averaged) is exposed as ``paper_prob_*`` and
-equals mc_T / G_realized exactly.
+span grid points and lambdas, and seeds all its items' substreams in one
+``geometry.substreams`` pass.  The pooled estimator of P(collected | active)
+divides total collected by total active across runs, and is 0 where no user
+was active; the max-load metric takes it for every grid point at once.  The
+classic per-run estimator (collected / n / p, averaged) is exposed as
+``paper_prob_*`` and equals mc_T / G_realized exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .analytics import (
     lower_bound_noncoop,
 )
 from .decoders import decode_cooperative, decode_noncooperative
-from .geometry import MomentTable, placement_alphas
+from .geometry import MomentTable, placement_alphas, substreams
 from .scenario import SystemParams, build_adjacency, disjoint_union, generate_instance
 
 # Slots of one job decoded per kernel call, so memory does not grow with the
@@ -154,12 +156,12 @@ def _simulate_runs(slots) -> np.ndarray:
     per slot: the active users and the users collected by each decoder.
     """
     counts = []
+    streams = substreams((seed, params.n, run) for params, seed, run in slots)
     for start in range(0, len(slots), RUN_BLOCK):
+        # zip takes the slot first, so it draws no stream past the block.
         graphs = [
-            build_adjacency(
-                generate_instance(params, np.random.default_rng(np.random.SeedSequence([seed, params.n, run])))
-            )
-            for params, seed, run in slots[start : start + RUN_BLOCK]
+            build_adjacency(generate_instance(params, rng))
+            for (params, _, _), rng in zip(slots[start : start + RUN_BLOCK], streams)
         ]
         union = disjoint_union(graphs)
         # The union's users are the slots' users in order, n_users per slot.
@@ -177,29 +179,31 @@ def _simulate_runs(slots) -> np.ndarray:
     return np.concatenate(counts)
 
 
-def _simulate(configs: list[SweepConfig], workers: int | None) -> list[list[np.ndarray]]:
+def _simulate(configs: list[SweepConfig], workers: int | None) -> list[np.ndarray]:
     """One Monte Carlo pass over every live grid point of every config.
 
-    Returns, per config and per grid point with n > 0 in grid order, the
-    per-run active and collected counts of ``_simulate_runs`` as three rows.
-    The (config, point, run) slots run on ``_run_jobs``, weighted by their
-    users; every slot draws its own substream, so the cut changes no result.
+    Returns, per config, an array (points, 3, runs): for each grid point
+    with n > 0 in grid order, the per-run active and collected counts of
+    ``_simulate_runs`` as three rows.  The (config, point, run) slots run on
+    ``_run_jobs``, weighted by their users; every slot draws its own
+    substream, so the cut changes no result.
     """
     points = [
-        (k, SystemParams(n=n, m=c.m, r=c.r, p=c.p), c)
-        for k, c in enumerate(configs)
-        for n in map(c.realized_users, c.g_grid)
-        if n > 0
+        [SystemParams(n=n, m=c.m, r=c.r, p=c.p) for n in map(c.realized_users, c.g_grid) if n > 0]
+        for c in configs
     ]
-    by_config: list[list[np.ndarray]] = [[] for _ in configs]
-    if not points:
-        return by_config
-    slots = [(params, c.seed, run) for _, params, c in points for run in range(c.runs_per_point)]
-    counts = _run_jobs(_simulate_runs, slots, [params.n for params, _, _ in slots], workers)
-    starts = np.cumsum([c.runs_per_point for _, _, c in points])[:-1]
-    for (k, _, _), per_run in zip(points, np.split(counts, starts)):
-        by_config[k].append(per_run.T)
-    return by_config
+    slots = [
+        (params, c.seed, run) for c, ps in zip(configs, points) for params in ps for run in range(c.runs_per_point)
+    ]
+    if slots:
+        counts = _run_jobs(_simulate_runs, slots, [params.n for params, _, _ in slots], workers)
+    else:
+        counts = np.zeros((0, 3), dtype=np.int64)
+    ends = np.cumsum([len(ps) * c.runs_per_point for c, ps in zip(configs, points)])
+    return [
+        per_config.reshape(len(ps), c.runs_per_point, 3).transpose(0, 2, 1)
+        for c, ps, per_config in zip(configs, points, np.split(counts, ends[:-1]))
+    ]
 
 
 def _pooled_ratio(collected: np.ndarray, active: np.ndarray) -> tuple[float, float]:
@@ -309,8 +313,11 @@ def estimate_gbullet(
     cells: list[GBulletCell] = []
     for lam, sub, samples in zip(lambda_grid, subs, _simulate(subs, workers)):
         grid = [n * sub.p / sub.m for n in map(sub.realized_users, sub.g_grid) if n > 0]
-        nc_vals = [_pooled_ratio(nc, act)[0] for act, nc, _ in samples]
-        coop_vals = [_pooled_ratio(coop, act)[0] for act, _, coop in samples]
+        # The pooled ratio of ``_pooled_ratio``, for every grid point at once.
+        totals = samples.sum(axis=2)
+        active = totals[:, :1]
+        probs = np.divide(totals[:, 1:], active, out=np.zeros((len(totals), 2)), where=active > 0)
+        nc_vals, coop_vals = probs.T
         for eps in eps_list:
             cells.append(
                 GBulletCell(
@@ -347,6 +354,8 @@ def tabulate_moments(
     ):
         if v < 1:
             raise ValueError(f"{name} must be positive, got {v}")
+    if not seed >= 0:
+        raise ValueError("seed must be nonnegative")
     moments = np.ones((k_max, s_max))
     stderrs = np.zeros((k_max, s_max))
     if k_max > 1:

@@ -10,6 +10,7 @@ centers give alpha_k, and cached to a plain-text table.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +34,98 @@ def uniform_points(rng: np.random.Generator, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     return rng.uniform(-HALF_SIDE, HALF_SIDE, size=(count, 2))
+
+
+# Constants of O'Neill's seed_seq hash as numpy.random.SeedSequence has them,
+# and the 128-bit multiplier of PCG64.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _entropy_words(entropy) -> tuple[int, ...]:
+    """The uint32 words SeedSequence takes from a sequence of nonnegative ints."""
+    words = []
+    for v in entropy:
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            raise ValueError("seed must be nonnegative")
+        v = int(v)
+        words.append(v & _MASK32)
+        while v := v >> 32:
+            words.append(v & _MASK32)
+    return tuple(words)
+
+
+def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(w).generate_state(4, uint64)`` for each row ``w`` of ``words``.
+
+    Every value is a uint32 word held in a uint64 and masked to 32 bits after
+    each product, so the arithmetic is that of the hash, row by row.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint64(hash_const) & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (x * np.uint64(_MIX_L) - y * np.uint64(_MIX_R)) & _MASK32
+        return value ^ value >> 16
+
+    n_words = words.shape[1]
+    zeros = np.zeros(len(words), dtype=np.uint64)
+    pool = [hashmix(words[:, i] if i < n_words else zeros) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, n_words):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint64(hash_const) & _MASK32
+        state.append(value ^ value >> 16)
+    # Little-endian pairs of words make the four uint64 words.
+    return np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
+
+
+def substreams(entropies) -> Iterator[np.random.Generator]:
+    """Yield, per entropy, the generator ``np.random.default_rng(np.random.SeedSequence(entropy))``.
+
+    Each entropy is a sequence of nonnegative ints, such as (seed, n, run).
+    The SeedSequence hash runs on all entropies of one word count at once;
+    PCG64's seeding step then runs per item, and the public
+    ``bit_generator.state`` setter reseeds one generator for every item.  So
+    each yielded generator is valid only until the next one is drawn.
+    """
+    keys = [_entropy_words(e) for e in entropies]
+    seeds = [0] * len(keys)
+    layouts: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        layouts.setdefault(len(key), []).append(i)
+    for items in layouts.values():
+        words = np.array([keys[i] for i in items], dtype=np.uint64)
+        for i, row in zip(items, _seed_pcg_states(words).tolist()):
+            seeds[i] = row
+    rng = np.random.default_rng(0)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for s0, s1, i0, i1 in seeds:
+        # pcg64_set_seed: state 0, one step, add the seed, one more step.
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        rng.bit_generator.state = state
+        yield rng
 
 
 class AreaEstimate(NamedTuple):
@@ -264,7 +357,6 @@ def placement_alphas(seed: int, k_max: int, samples: int, placements) -> np.ndar
     substream (seed, j), so its row does not depend on the other placements.
     """
     rows = []
-    for j in placements:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
+    for rng in substreams((seed, j) for j in placements):
         rows.append(disk_union_area(sample_unit_disk(rng, k_max), samples, rng).alpha[1:])
     return np.array(rows)

@@ -110,10 +110,11 @@ class BipartiteGraph:
 
 def generate_instance(params: SystemParams, rng: np.random.Generator) -> NetworkInstance:
     """Draw user positions, station positions, then the activation mask."""
-    user_xy = uniform_points(rng, params.n)
-    station_xy = uniform_points(rng, params.m)
+    # One draw: by the prefix property of uniform_points, the same stream as
+    # the users' call followed by the stations'.
+    xy = uniform_points(rng, params.n + params.m)
     active = rng.random(params.n) < params.p
-    return NetworkInstance(params, user_xy, station_xy, active)
+    return NetworkInstance(params, xy[: params.n], xy[params.n :], active)
 
 
 def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
@@ -133,18 +134,17 @@ def disjoint_union(graphs: Sequence[BipartiteGraph]) -> BipartiteGraph:
     of the graphs before it, so no edge joins two of them.  Peeling rounds
     are synchronous, so decoding the union decodes each graph as on its own.
     """
-    users, station, column = [], [], []
-    n_stations = n_users = n_columns = 0
-    for g in graphs:
-        users.append(g.users + n_users)
-        station.append(g.station + n_stations)
-        column.append(g.column + n_columns)
-        n_stations += g.n_stations
-        n_users += g.n_users
-        n_columns += g.users.size
-    return BipartiteGraph(
-        n_stations, n_users, np.concatenate(users), np.concatenate(station), np.concatenate(column)
-    )
+    n_stations, n_users, n_columns, n_edges = np.array(
+        [(g.n_stations, g.n_users, g.users.size, g.station.size) for g in graphs]
+    ).T
+    users = np.concatenate([g.users for g in graphs])
+    station = np.concatenate([g.station for g in graphs])
+    column = np.concatenate([g.column for g in graphs])
+    # Each graph's offsets are the totals before it, repeated over its entries.
+    users += np.repeat(np.cumsum(n_users) - n_users, n_columns)
+    station += np.repeat(np.cumsum(n_stations) - n_stations, n_edges)
+    column += np.repeat(np.cumsum(n_columns) - n_columns, n_edges)
+    return BipartiteGraph(int(n_stations.sum()), int(n_users.sum()), users, station, column)
 
 
 def coverage_probability(lam: float) -> float:

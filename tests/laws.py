@@ -1,7 +1,8 @@
 """Degree laws, closed forms and small wrappers that only the tests use: the
 finite (binomial) and asymptotic (Poisson) degree laws of a nominally placed
 user or station, the masks of nominally placed nodes, the coverage threshold
-lambda_min, the single-station baseline and a grid-scan form of G•."""
+lambda_min, the single-station baseline, a grid-scan form of G• and the
+per-point window-3 moving average that G• smoothing is checked against."""
 
 import math
 from typing import Callable
@@ -96,3 +97,11 @@ def g_bullet(
     grid = np.arange(0.0, g_max + step / 2, step)
     values = [evaluator(float(g)) for g in grid]
     return g_bullet_from_values(lam, eps, grid, values, smooth_window=smooth_window)
+
+
+def moving_average3_reference(values: np.ndarray) -> np.ndarray:
+    """Window-3 centered moving average, one ``.mean()`` per point."""
+    smoothed = np.empty_like(values)
+    for i in range(values.size):
+        smoothed[i] = values[max(0, i - 1) : i + 2].mean()
+    return smoothed

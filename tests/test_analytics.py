@@ -5,8 +5,9 @@ import pytest
 from scipy import integrate, optimize
 
 from conftest import rng_from
-from laws import g_bullet, single_station
+from laws import g_bullet, moving_average3_reference, single_station
 from mbaloha.analytics import (
+    _moving_average3,
     collection_prob_noncoop_asymptotic,
     collection_prob_noncoop_finite,
     g_bullet_from_values,
@@ -292,6 +293,18 @@ class TestGBullet:
         assert rough == pytest.approx(0.3)
         # but not the window-3 moving average
         assert smooth == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 50])
+    def test_smoothing_bit_identical_to_per_point_mean(self, size):
+        values = rng_from(17, size).random(size)
+        assert _moving_average3(values).tobytes() == moving_average3_reference(values).tobytes()
+
+    def test_smoothing_with_nan_matches_per_point_mean(self):
+        values = rng_from(18).random(9)
+        values[4] = np.nan
+        smoothed = _moving_average3(values)
+        np.testing.assert_array_equal(smoothed, moving_average3_reference(values))
+        assert np.isnan(smoothed[3:6]).all() and not np.isnan(smoothed[[2, 6]]).any()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,14 @@ class TestTabulateCommand:
         assert res.returncode == 2
         assert not out.exists()
 
+    def test_negative_seed_exits_2_no_file(self, tmp_path):
+        out = tmp_path / "never.txt"
+        res = run_cli("tabulate", "--k-max", "3", "--placements", "4", "--samples", "100",
+                      "--seed", "-1", "--out", str(out))
+        assert res.returncode == 2
+        assert "seed must be nonnegative" in res.stderr
+        assert not out.exists()
+
     def test_missing_out_is_usage_error(self):
         res = run_cli("tabulate", "--k-max", "2")
         assert res.returncode == 1
@@ -136,6 +144,13 @@ class TestSweepCommand:
         res = run_cli(*self.BASE, *flags, "--no-analytic")
         assert res.returncode == 2
         assert message in res.stderr
+
+    def test_negative_seed_exits_2_no_file(self, tmp_path):
+        out = tmp_path / "never.csv"
+        res = run_cli(*self.BASE, "--grid", "0.2", "--no-analytic", "--seed", "-1", "--out", str(out))
+        assert res.returncode == 2
+        assert "seed must be nonnegative" in res.stderr
+        assert not out.exists()
 
 
 class TestGbulletCommand:
@@ -247,7 +262,9 @@ class TestOutputDigests:
     """Fixed-seed outputs pinned by digest, so that a change to an RNG stream,
     to the decoders or to the counting shows up as a failure.  The manifest
     line is part of the file, so a version bump changes the digests too.
-    Each output is pinned in one process and on a pool of two workers."""
+    Each output is pinned in one process and on a pool of two workers, and
+    again at seed 2^32, a two-word seed: its sweep slots hash four words
+    each and its placements three."""
 
     CASES = [
         pytest.param(
@@ -267,6 +284,24 @@ class TestOutputDigests:
              "--seed", "3"],
             "27dcf7f85684f06dbc90998817f7d9f1272b43611459b6579c44e82dc70bc2f1",
             id="tabulate",
+        ),
+        pytest.param(
+            ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
+             "--seed", "4294967296", "--no-analytic"],
+            "6c3b443a6f1d511fffacfddd88b3a6350d06cd723be50c164b7ad55523145f67",
+            id="sweep_seed_2_32",
+        ),
+        pytest.param(
+            ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
+             "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "4294967296"],
+            "a5a204aa2beb94486c3fd662d4eea3330239d760a699c3bf56d7798d1f0dffa3",
+            id="gbullet_seed_2_32",
+        ),
+        pytest.param(
+            ["tabulate", "--k-max", "6", "--s-max", "4", "--placements", "40", "--samples", "3000",
+             "--seed", "4294967296"],
+            "404011a811914c58af9e0beae0c8698eefd4490dca250d3cdb336568ec59ee3f",
+            id="tabulate_seed_2_32",
         ),
     ]
 

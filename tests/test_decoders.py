@@ -129,6 +129,14 @@ class TestDecodingInvariants:
         covered = graph.users[graph.column]
         assert set(np.flatnonzero(coop.collected).tolist()) <= set(covered.tolist())
 
+    @given(small_params, st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_max_rounds_is_a_prefix_of_full_peeling(self, params, seed, max_rounds):
+        graph = random_graph(params, seed)
+        full = peel(graph)
+        early = _peel(graph.station, graph.column, graph.n_stations, graph.users.size, max_rounds)
+        assert np.array_equal(early, np.where(full <= max_rounds, full, 0))
+
     def test_confluence_parallel_vs_sequential_bulk(self):
         # randomized differential test over 10^4 instances
         params = SystemParams(n=18, m=9, r=0.18, p=0.5)

@@ -260,6 +260,31 @@ class TestEstimateGbullet:
         matching = [c for c in full if c.lam == 2.0 and c.eps == 0.5]
         assert matching == subset
 
+    def test_pooled_values_equal_pooled_ratio(self, monkeypatch):
+        # At p = 0.05 and n = 1, most grid points' runs have nobody active.
+        cfg = small_config(p=0.05, g_grid=(0.0, 0.0025, 0.005, 0.1, 0.2), runs_per_point=3)
+        simulate = experiments._simulate
+        simulated, thresholded = [], []
+
+        def recording_simulate(configs, workers):
+            result = simulate(configs, workers)
+            simulated.extend(result)
+            return result
+
+        def g_bullet_from_values(lam, eps, grid, values, smooth_window):
+            thresholded.append(np.array(values))
+            return 0.0
+
+        monkeypatch.setattr(experiments, "_simulate", recording_simulate)
+        monkeypatch.setattr(experiments, "g_bullet_from_values", g_bullet_from_values)
+        estimate_gbullet(cfg, (1.5, 2.0), (0.3,))
+        want = []
+        for samples in simulated:
+            want.append([experiments._pooled_ratio(nc, act)[0] for act, nc, _ in samples])
+            want.append([experiments._pooled_ratio(coop, act)[0] for act, _, coop in samples])
+        assert [v.tolist() for v in thresholded] == want
+        assert any(samples[:, 0].sum(axis=1).min() == 0 for samples in simulated)
+
     def test_empty_grids_rejected(self):
         cfg = small_config()
         with pytest.raises(ValueError):
@@ -277,6 +302,10 @@ class TestEstimateGbullet:
 
 
 class TestTabulateMoments:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            tabulate_moments(k_max=3, s_max=1, placements_per_k=2, samples_per_placement=10, seed=-1)
+
     def test_one_pool_bit_identical_to_one_process(self, counting_pool):
         kwargs = dict(k_max=4, s_max=3, placements_per_k=300, samples_per_placement=200, seed=31)
         serial = tabulate_moments(**kwargs, workers=1)

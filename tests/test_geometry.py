@@ -15,6 +15,7 @@ from mbaloha.geometry import (
     format_moment_table,
     parse_moment_table,
     sample_unit_disk,
+    substreams,
     uniform_points,
 )
 from points import Point2, is_adjacent, uniform_point
@@ -43,6 +44,52 @@ class TestUniformPoint:
     def test_point_outside_square_rejected(self):
         with pytest.raises(ValueError):
             Point2(0.51, 0.0)
+
+
+def _gbullet_sub_seed(seed: int, lam: float) -> int:
+    lam_bits = int(np.float64(lam).view(np.uint64))
+    return int(np.random.SeedSequence([seed, lam_bits]).generate_state(1, np.uint64)[0])
+
+
+class TestSubstreams:
+    # Two to seven uint32 words: placements (seed, j), slots (seed, n, run)
+    # with seeds of one, two and three words, and the 64-bit sub-seeds of
+    # the max-load metric.
+    ENTROPIES = [
+        (0, 0),
+        (20259, 17),
+        (2**70, 5),
+        (0, 40, 0),
+        (20259, 400, 99),
+        (2**32, 40, 3),
+        (2**64 - 1, 40, 7),
+        (2**70, 40, 1),
+        (2**70, 2**32, 2**32),
+        (_gbullet_sub_seed(5, 3.0), 120, 0),
+        (_gbullet_sub_seed(20259, 6.0), 400, 7),
+        (_gbullet_sub_seed(2**32, 2.0), 80, 3),
+        (np.int64(11), np.int64(60), np.int64(2)),
+    ]
+
+    @staticmethod
+    def _draws(rng, n, m):
+        # The draws of generate_instance, then one more uniform block.
+        return [rng.uniform(-0.5, 0.5, size=(n + m, 2)), rng.random(n), rng.uniform(-2.0, 2.0, size=(3, 2))]
+
+    def test_bit_identical_to_numpy_seeding(self):
+        words = {sum(max(1, -(-int(v).bit_length() // 32)) for v in e) for e in self.ENTROPIES}
+        assert words >= {2, 3, 4, 5}
+        got = [self._draws(rng, 7 + i, 3) for i, rng in enumerate(substreams(self.ENTROPIES))]
+        assert len(got) == len(self.ENTROPIES)
+        for i, (entropy, draws) in enumerate(zip(self.ENTROPIES, got)):
+            want = self._draws(np.random.default_rng(np.random.SeedSequence(entropy)), 7 + i, 3)
+            for a, b in zip(draws, want):
+                assert a.tobytes() == b.tobytes(), entropy
+
+    @pytest.mark.parametrize("entropy", [(-1, 0, 0), (5, -2), (1.5, 3), (2, 0.0)])
+    def test_negative_or_non_integer_entropy_rejected(self, entropy):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            list(substreams([(0, 0), entropy]))
 
 
 class TestIsAdjacent:

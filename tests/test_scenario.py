@@ -24,6 +24,7 @@ from mbaloha.scenario import (
     dump_instance,
     generate_instance,
     parse_instance,
+    uniform_points,
 )
 from points import is_adjacent
 from topologies import incidence
@@ -79,6 +80,14 @@ class TestGenerateInstance:
         assert np.abs(a.station_xy).max() <= 0.5
         assert np.array_equal(a.user_xy, b.user_xy)
         assert np.array_equal(a.active, b.active)
+
+    def test_users_then_stations_then_mask_from_one_stream(self):
+        params = SystemParams(n=30, m=7, r=0.2, p=0.4)
+        inst = generate_instance(params, rng_from(9))
+        rng = rng_from(9)
+        assert inst.user_xy.tobytes() == uniform_points(rng, 30).tobytes()
+        assert inst.station_xy.tobytes() == uniform_points(rng, 7).tobytes()
+        assert np.array_equal(inst.active, rng.random(30) < 0.4)
 
     def test_activation_rate_binomial(self):
         params = SystemParams(n=1000, m=1, r=0.1, p=0.25)
