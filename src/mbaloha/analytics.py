@@ -257,18 +257,12 @@ def _moving_average3(vals: np.ndarray) -> np.ndarray:
     return sums / counts
 
 
-def g_bullet_from_values(
-    lam: float,
-    eps: float,
-    g_grid: Sequence[float],
-    values: Sequence[float],
-    smooth_window: int = 1,
-) -> float:
-    """Largest grid load whose (optionally smoothed) probability stays >= 1-eps.
+def g_bullet_from_values(lam: float, eps: float, g_grid: Sequence[float], values: Sequence[float]) -> float:
+    """Largest grid load whose probability stays >= 1-eps.
 
     Returns 0 when even full coverage cannot reach 1-eps, or when no grid
-    point qualifies.  ``smooth_window=3`` applies the centered moving average
-    used for noisy Monte Carlo evaluators.
+    point qualifies.  The values are thresholded as given; noisy Monte Carlo
+    values are smoothed first (``_moving_average3``).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -278,12 +272,7 @@ def g_bullet_from_values(
         raise ValueError("empty load grid")
     if grid.shape != vals.shape:
         raise ValueError("grid and values must have matching shapes")
-    if smooth_window not in (1, 3):
-        raise ValueError("smooth_window must be 1 (off) or 3")
     if 1.0 - eps > coverage_probability(lam):
         return 0.0
-    if smooth_window == 3:
-        vals = _moving_average3(vals)
     qualifying = grid[vals >= 1.0 - eps]
     return float(qualifying.max()) if qualifying.size else 0.0
-

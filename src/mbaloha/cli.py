@@ -228,6 +228,8 @@ def _cmd_gbullet(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not args.seed >= 0:
+        raise ValueError("seed must be nonnegative")
     if args.instance is not None:
         with open(args.instance, "r", encoding="ascii") as fh:
             instance = parse_instance(fh.read())

@@ -8,10 +8,13 @@ grid subset.  A command's work items, the slots of one sweep or of every
 lambda's sweep for the max-load metric, or the placements of a tabulation,
 run on one process pool in a few jobs of about equal total weight; a job may
 span grid points and lambdas, and seeds all its items' substreams in one
-``geometry.substreams`` pass.  The pooled estimator of P(collected | active)
-divides total collected by total active across runs, and is 0 where no user
-was active; the max-load metric takes it for every grid point at once.  The
-classic per-run estimator (collected / n / p, averaged) is exposed as
+``geometry.substreams`` pass.  Sweeps and the max-load metric share one
+post-pass over the per-run counts: the pooled estimator of P(collected |
+active) divides total collected by total active across runs, with a
+linearized ratio standard error, for every grid point and both decoders at
+once; both are 0 where no user was active.  The max-load metric smooths
+these probabilities over the grid points with users and thresholds them.
+The classic per-run estimator (collected / n / p, averaged) is exposed as
 ``paper_prob_*`` and equals mc_T / G_realized exactly.
 """
 
@@ -25,6 +28,7 @@ from functools import partial
 import numpy as np
 
 from .analytics import (
+    _moving_average3,
     collection_prob_noncoop_asymptotic,
     g_bullet_from_values,
     heuristic_coop,
@@ -179,45 +183,56 @@ def _simulate_runs(slots) -> np.ndarray:
     return np.concatenate(counts)
 
 
-def _simulate(configs: list[SweepConfig], workers: int | None) -> list[np.ndarray]:
-    """One Monte Carlo pass over every live grid point of every config.
+def _simulate(configs: list[SweepConfig], workers: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One Monte Carlo pass over every grid point of every config.
 
-    Returns, per config, an array (points, 3, runs): for each grid point
-    with n > 0 in grid order, the per-run active and collected counts of
-    ``_simulate_runs`` as three rows.  The (config, point, run) slots run on
+    Returns, per config, the realized user count of each grid point and an
+    array (points, 3, runs): the per-run active and collected counts of
+    ``_simulate_runs`` as three rows, all zero where the point has no users.
+    The (config, point, run) slots of the points with users run on
     ``_run_jobs``, weighted by their users; every slot draws its own
     substream, so the cut changes no result.
     """
+    users = [np.array([c.realized_users(g) for g in c.g_grid]) for c in configs]
     points = [
-        [SystemParams(n=n, m=c.m, r=c.r, p=c.p) for n in map(c.realized_users, c.g_grid) if n > 0]
-        for c in configs
+        (c, SystemParams(n=n, m=c.m, r=c.r, p=c.p)) for c, ns in zip(configs, users) for n in ns.tolist() if n > 0
     ]
-    slots = [
-        (params, c.seed, run) for c, ps in zip(configs, points) for params in ps for run in range(c.runs_per_point)
-    ]
+    slots = [(params, c.seed, run) for c, params in points for run in range(c.runs_per_point)]
     if slots:
-        counts = _run_jobs(_simulate_runs, slots, [params.n for params, _, _ in slots], workers)
+        rest = _run_jobs(_simulate_runs, slots, [params.n for params, _, _ in slots], workers)
     else:
-        counts = np.zeros((0, 3), dtype=np.int64)
-    ends = np.cumsum([len(ps) * c.runs_per_point for c, ps in zip(configs, points)])
-    return [
-        per_config.reshape(len(ps), c.runs_per_point, 3).transpose(0, 2, 1)
-        for c, ps, per_config in zip(configs, points, np.split(counts, ends[:-1]))
-    ]
+        rest = np.zeros((0, 3), dtype=np.int64)
+    results = []
+    for c, ns in zip(configs, users):
+        live = ns > 0
+        runs = c.runs_per_point
+        done, rest = np.split(rest, [live.sum() * runs])
+        counts = np.zeros((len(ns), 3, runs), dtype=np.int64)
+        counts[live] = done.reshape(-1, runs, 3).transpose(0, 2, 1)
+        results.append((ns, counts))
+    return results
 
 
-def _pooled_ratio(collected: np.ndarray, active: np.ndarray) -> tuple[float, float]:
-    """Pooled P(collected | active) and its linearized ratio standard error."""
-    total_active = int(active.sum())
-    if total_active == 0:
-        return 0.0, 0.0
-    phat = float(collected.sum()) / total_active
-    runs = len(active)
+def _pooled(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled P(collected | active) and its linearized ratio standard error.
+
+    ``counts`` is a (points, 3, runs) array of ``_simulate``.  Returns two
+    (points, 2) arrays, the probabilities and their standard errors, with
+    one column per decoder (non-cooperative, cooperative).  Both are 0
+    where nobody was active; the standard error is NaN for a single run.
+    """
+    runs = counts.shape[2]
+    totals = counts.sum(axis=2)
+    active = totals[:, :1]
+    live = active > 0
+    probs = np.divide(totals[:, 1:], active, out=np.zeros((len(counts), 2)), where=live)
+    stderrs = np.zeros_like(probs)
     if runs < 2:
-        return phat, float("nan")
-    resid = collected - phat * active
-    se = float(resid.std(ddof=1)) / (float(active.mean()) * math.sqrt(runs))
-    return phat, se
+        stderrs[live[:, 0]] = math.nan
+    else:
+        resid = counts[:, 1:] - probs[:, :, None] * counts[:, :1]
+        np.divide(resid.std(axis=2, ddof=1), active / runs * math.sqrt(runs), out=stderrs, where=live)
+    return probs, stderrs
 
 
 def sweep_load(
@@ -230,35 +245,20 @@ def sweep_load(
     """
     if table is not None and config.k_max > table.k_max:
         raise ValueError(f"k_max={config.k_max} exceeds the table's k_max={table.k_max}")
-    samples = iter(_simulate([config], workers)[0])
+    users, counts = _simulate([config], workers)[0]
+    probs, stderrs = _pooled(counts)
+    # The six mc_* columns in SWEEP_COLUMNS order, one row per grid point.
+    mc = np.hstack(
+        [
+            np.stack([probs, stderrs], axis=2).reshape(-1, 4),
+            counts[:, 1:].sum(axis=2) / (config.runs_per_point * config.m),
+        ]
+    )
     lam = config.m * config.r**2 * math.pi
     rows: list[SweepRow] = []
-    for g in config.g_grid:
-        n = config.realized_users(g)
+    for n, mc_row in zip(users.tolist(), mc.tolist()):
         g_real = n * config.p / config.m
         flags: list[str] = []
-        if n == 0:
-            mc = dict(
-                mc_prob_noncoop=0.0,
-                mc_prob_noncoop_stderr=0.0,
-                mc_prob_coop=0.0,
-                mc_prob_coop_stderr=0.0,
-                mc_T_noncoop=0.0,
-                mc_T_coop=0.0,
-            )
-        else:
-            act, nc, coop = next(samples)
-            p_nc, se_nc = _pooled_ratio(nc, act)
-            p_coop, se_coop = _pooled_ratio(coop, act)
-            runs = config.runs_per_point
-            mc = dict(
-                mc_prob_noncoop=p_nc,
-                mc_prob_noncoop_stderr=se_nc,
-                mc_prob_coop=p_coop,
-                mc_prob_coop_stderr=se_coop,
-                mc_T_noncoop=float(nc.sum()) / (runs * config.m),
-                mc_T_coop=float(coop.sum()) / (runs * config.m),
-            )
         psi = g_real * lam
         lower = lower_bound_noncoop(lam, psi, config.p) / config.p
         if table is not None:
@@ -281,7 +281,7 @@ def sweep_load(
                 analytic_prob_coop=analytic_coop,
                 lower_bound=lower,
                 clamp_flags=";".join(flags),
-                **mc,
+                **dict(zip(SWEEP_COLUMNS[2:8], mc_row)),
             )
         )
     return rows
@@ -297,9 +297,10 @@ def estimate_gbullet(
 
     Each lambda cell derives its sweep seed from the float bits of lambda, so
     rerunning any subset of the grid reproduces the full run's cells.  The
-    sweeps of all lambdas run as one Monte Carlo pass.  The Monte Carlo
-    probability columns are smoothed (window 3) before thresholding, per the
-    max-load policy.
+    sweeps of all lambdas run as one Monte Carlo pass.  Over the grid points
+    with users, each decoder's pooled probabilities are smoothed (window 3)
+    before thresholding, per the max-load policy; with no such point every
+    cell is 0.
     """
     if not lambda_grid or not eps_list:
         raise ValueError("lambda grid and eps list must be nonempty")
@@ -311,22 +312,13 @@ def estimate_gbullet(
         )
         subs.append(replace(config, lambda_target=lam, seed=sub_seed))
     cells: list[GBulletCell] = []
-    for lam, sub, samples in zip(lambda_grid, subs, _simulate(subs, workers)):
-        grid = [n * sub.p / sub.m for n in map(sub.realized_users, sub.g_grid) if n > 0]
-        # The pooled ratio of ``_pooled_ratio``, for every grid point at once.
-        totals = samples.sum(axis=2)
-        active = totals[:, :1]
-        probs = np.divide(totals[:, 1:], active, out=np.zeros((len(totals), 2)), where=active > 0)
-        nc_vals, coop_vals = probs.T
+    for lam, sub, (users, counts) in zip(lambda_grid, subs, _simulate(subs, workers)):
+        live = users > 0
+        grid = users[live] * sub.p / sub.m
+        smoothed = [_moving_average3(vals) for vals in _pooled(counts[live])[0].T]
         for eps in eps_list:
-            cells.append(
-                GBulletCell(
-                    lam=lam,
-                    eps=eps,
-                    gbullet_noncoop=g_bullet_from_values(lam, eps, grid, nc_vals, smooth_window=3),
-                    gbullet_coop=g_bullet_from_values(lam, eps, grid, coop_vals, smooth_window=3),
-                )
-            )
+            g_nc, g_coop = (g_bullet_from_values(lam, eps, grid, vals) if grid.size else 0.0 for vals in smoothed)
+            cells.append(GBulletCell(lam=lam, eps=eps, gbullet_noncoop=g_nc, gbullet_coop=g_coop))
     return cells
 
 

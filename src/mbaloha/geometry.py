@@ -302,54 +302,6 @@ def parse_moment_table(text: str) -> MomentTable:
     )
 
 
-def _lens_area(t: np.ndarray) -> np.ndarray:
-    """Intersection area of two unit disks with centers ``t`` apart (t <= 2)."""
-    half = np.clip(t / 2.0, 0.0, 1.0)
-    return 2.0 * np.arccos(half) - half * np.sqrt(np.clip(4.0 - t * t, 0.0, None))
-
-
-def mean_alpha_quadrature(k: int, intervals: int = 200_000) -> float:
-    """Exact first moment of the normalized k-disk union area by quadrature.
-
-    A point at distance t from the origin is covered by one random unit disk
-    with probability lens(t)/pi, so the expected union area over the plane is
-    the radial integral of 1 - (1 - lens(t)/pi)^k; normalized by pi this is
-    2 int_0^2 t (1 - (1 - lens(t)/pi)^k) dt, evaluated by composite Simpson.
-    Only the first moment has this closed integral form; higher moments need
-    the Monte Carlo tabulation.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k == 1:
-        return 1.0
-    t = np.linspace(0.0, 2.0, 2 * intervals + 1)
-    survival = 1.0 - _lens_area(t) / math.pi
-    f = 2.0 * t * (1.0 - survival**k)
-    weights = np.ones_like(t)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = 2.0 / (2 * intervals)
-    return float((weights * f).sum() * h / 3.0)
-
-
-def quadrature_first_moments(k_max: int) -> MomentTable:
-    """First-moment table (s_max=1) with quadrature-exact entries.
-
-    Used where the alternating series needs noise-free first moments; the
-    placement/sample counts in the header are placeholders since nothing was
-    sampled.
-    """
-    moments = np.array([[mean_alpha_quadrature(k)] for k in range(1, k_max + 1)])
-    return MomentTable(
-        k_max=k_max,
-        s_max=1,
-        moments=moments,
-        placements_per_k=1,
-        samples_per_placement=1,
-        seed=0,
-    )
-
-
 def placement_alphas(seed: int, k_max: int, samples: int, placements) -> np.ndarray:
     """alpha_2..alpha_k_max of each placement j in ``placements``, one row each.
 

@@ -1,8 +1,10 @@
 """Degree laws, closed forms and small wrappers that only the tests use: the
 finite (binomial) and asymptotic (Poisson) degree laws of a nominally placed
 user or station, the masks of nominally placed nodes, the coverage threshold
-lambda_min, the single-station baseline, a grid-scan form of G• and the
-per-point window-3 moving average that G• smoothing is checked against."""
+lambda_min, the single-station baseline, a grid-scan form of G•, the
+per-point window-3 moving average that G• smoothing is checked against, and
+the per-point pooled ratio that the sweep's Monte Carlo columns are checked
+against."""
 
 import math
 from typing import Callable
@@ -89,14 +91,13 @@ def g_bullet(
     evaluator: Callable[[float], float],
     g_max: float = 1.0,
     step: float = 0.01,
-    smooth_window: int = 1,
 ) -> float:
     """Grid supremum of {G : evaluator(G) >= 1 - eps} on 0..g_max."""
     if step <= 0 or g_max < 0:
         raise ValueError("step must be positive and g_max nonnegative")
     grid = np.arange(0.0, g_max + step / 2, step)
     values = [evaluator(float(g)) for g in grid]
-    return g_bullet_from_values(lam, eps, grid, values, smooth_window=smooth_window)
+    return g_bullet_from_values(lam, eps, grid, values)
 
 
 def moving_average3_reference(values: np.ndarray) -> np.ndarray:
@@ -105,3 +106,17 @@ def moving_average3_reference(values: np.ndarray) -> np.ndarray:
     for i in range(values.size):
         smoothed[i] = values[max(0, i - 1) : i + 2].mean()
     return smoothed
+
+
+def _pooled_ratio(collected: np.ndarray, active: np.ndarray) -> tuple[float, float]:
+    """Pooled P(collected | active) and its linearized ratio standard error."""
+    total_active = int(active.sum())
+    if total_active == 0:
+        return 0.0, 0.0
+    phat = float(collected.sum()) / total_active
+    runs = len(active)
+    if runs < 2:
+        return phat, float("nan")
+    resid = collected - phat * active
+    se = float(resid.std(ddof=1)) / (float(active.mean()) * math.sqrt(runs))
+    return phat, se

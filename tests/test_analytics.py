@@ -287,8 +287,8 @@ class TestGBullet:
     def test_smoothing_suppresses_spurious_spikes(self):
         grid = [0.0, 0.1, 0.2, 0.3, 0.4]
         values = [0.99, 0.85, 0.80, 0.91, 0.10]
-        rough = g_bullet_from_values(9.0, 0.1, grid, values, smooth_window=1)
-        smooth = g_bullet_from_values(9.0, 0.1, grid, values, smooth_window=3)
+        rough = g_bullet_from_values(9.0, 0.1, grid, values)
+        smooth = g_bullet_from_values(9.0, 0.1, grid, _moving_average3(np.array(values)))
         # an isolated above-threshold spike at G=0.3 survives raw thresholding
         assert rough == pytest.approx(0.3)
         # but not the window-3 moving average

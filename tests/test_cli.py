@@ -175,6 +175,14 @@ class TestGbulletCommand:
         assert res.returncode == 2
         assert "lambda_target must be positive" in res.stderr
 
+    def test_grid_without_users_gives_zero_cells(self, tmp_path):
+        out = tmp_path / "g.csv"
+        res = run_cli("gbullet", "--m", "10", "--grid", "0", "--runs", "3", "--lambdas", "0.5,0.8", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 2 * 3
+        assert all(float(row[2]) == float(row[3]) == 0.0 for row in rows)
+
     def test_subset_rerun_matches(self):
         full = run_cli(*self.BASE, "--lambdas", "0.5,0.8", "--eps", "0.4", "--seed", "3")
         sub = run_cli(*self.BASE, "--lambdas", "0.8", "--eps", "0.4", "--seed", "3")
@@ -247,6 +255,21 @@ class TestOracleCommand:
         res = run_cli("oracle", "--n", "4", "--masks", "0", "--out", str(out))
         assert res.returncode == 2
         assert "n_masks" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["generated", "instance_file"])
+    def test_negative_seed_exits_2_no_file(self, tmp_path, from_file):
+        args = ["oracle", "--n", "4", "--m", "2", "--masks", "100"]
+        if from_file:
+            params = SystemParams(n=2, m=1, r=0.1, p=0.4)
+            inst = NetworkInstance(params, np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(2, dtype=bool))
+            path = tmp_path / "inst.txt"
+            path.write_text(dump_instance(inst))
+            args += ["--instance", str(path)]
+        out = tmp_path / "never.csv"
+        res = run_cli(*args, "--seed", "-1", "--out", str(out))
+        assert res.returncode == 2
+        assert "seed must be nonnegative" in res.stderr
         assert not out.exists()
 
     def test_random_instance_smoke_with_bracket(self, table_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from laws import _pooled_ratio, moving_average3_reference
 from mbaloha import experiments
 from mbaloha.experiments import (
     SWEEP_COLUMNS,
@@ -44,6 +45,21 @@ def counting_pool(monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingExecutor)
     return opened
+
+
+@pytest.fixture
+def recording_simulate(monkeypatch):
+    """Records what ``experiments._simulate`` returns while the test runs."""
+    simulate = experiments._simulate
+    simulated = []
+
+    def record(configs, workers):
+        result = simulate(configs, workers)
+        simulated.extend(result)
+        return result
+
+    monkeypatch.setattr(experiments, "_simulate", record)
+    return simulated
 
 
 def small_config(**overrides):
@@ -104,6 +120,27 @@ class TestSweepLoad:
         assert zero.mc_prob_noncoop == 0.0
         assert zero.mc_T_coop == 0.0
         assert zero.mc_prob_coop_stderr == 0.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # At p = 0.05 and n = 1, most grid points' runs have nobody active.
+            dict(p=0.05, g_grid=(0.0, 0.0025, 0.005, 0.1, 0.2), runs_per_point=3),
+            dict(p=0.05, g_grid=(0.0, 0.0025, 0.005, 0.1, 0.2), runs_per_point=1),
+            dict(runs_per_point=300),
+        ],
+        ids=["inactive_points", "one_run", "many_runs"],
+    )
+    def test_mc_probabilities_equal_pooled_ratio(self, recording_simulate, overrides):
+        rows = sweep_load(small_config(**overrides))
+        [(users, counts)] = recording_simulate
+        assert [row.n for row in rows] == users.tolist()
+        got, want = [], []
+        for row, (active, nc, coop) in zip(rows, counts):
+            got += [row.mc_prob_noncoop, row.mc_prob_noncoop_stderr, row.mc_prob_coop, row.mc_prob_coop_stderr]
+            want += [*_pooled_ratio(nc, active), *_pooled_ratio(coop, active)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert counts[:, 0].sum(axis=1).min() == 0
 
     def test_realized_load_reported(self):
         rows = sweep_load(small_config())
@@ -260,28 +297,24 @@ class TestEstimateGbullet:
         matching = [c for c in full if c.lam == 2.0 and c.eps == 0.5]
         assert matching == subset
 
-    def test_pooled_values_equal_pooled_ratio(self, monkeypatch):
+    def test_pooled_values_equal_pooled_ratio(self, recording_simulate, monkeypatch):
         # At p = 0.05 and n = 1, most grid points' runs have nobody active.
         cfg = small_config(p=0.05, g_grid=(0.0, 0.0025, 0.005, 0.1, 0.2), runs_per_point=3)
-        simulate = experiments._simulate
-        simulated, thresholded = [], []
+        thresholded = []
 
-        def recording_simulate(configs, workers):
-            result = simulate(configs, workers)
-            simulated.extend(result)
-            return result
-
-        def g_bullet_from_values(lam, eps, grid, values, smooth_window):
+        def g_bullet_from_values(lam, eps, grid, values):
             thresholded.append(np.array(values))
             return 0.0
 
-        monkeypatch.setattr(experiments, "_simulate", recording_simulate)
         monkeypatch.setattr(experiments, "g_bullet_from_values", g_bullet_from_values)
         estimate_gbullet(cfg, (1.5, 2.0), (0.3,))
+        # The grid points with users, each with its per-run counts.
+        simulated = [counts[users > 0] for users, counts in recording_simulate]
         want = []
         for samples in simulated:
-            want.append([experiments._pooled_ratio(nc, act)[0] for act, nc, _ in samples])
-            want.append([experiments._pooled_ratio(coop, act)[0] for act, _, coop in samples])
+            for decoder in (1, 2):
+                ratios = np.array([_pooled_ratio(runs[decoder], runs[0])[0] for runs in samples])
+                want.append(moving_average3_reference(ratios).tolist())
         assert [v.tolist() for v in thresholded] == want
         assert any(samples[:, 0].sum(axis=1).min() == 0 for samples in simulated)
 
