@@ -38,7 +38,6 @@ from .geometry import (
     MomentTable,
     MomentTableError,
     disk_union_area,
-    uniform_points,
 )
 from .scenario import (
     BipartiteGraph,

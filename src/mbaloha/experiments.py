@@ -36,7 +36,7 @@ from .analytics import (
 )
 from .decoders import decode_cooperative, decode_noncooperative
 from .geometry import MomentTable, placement_alphas, substreams
-from .scenario import SystemParams, build_adjacency, disjoint_union, generate_instance
+from .scenario import SystemParams, build_adjacency, generate_instance
 
 # Slots of one job decoded per kernel call, so memory does not grow with the
 # run count.
@@ -155,25 +155,27 @@ def _simulate_runs(slots) -> np.ndarray:
 
     Slot ``(params, seed, run)`` is run ``run`` of the grid point with
     ``params`` and draws from (seed, params.n, run).  The slots are decoded
-    ``RUN_BLOCK`` at a time, each block as the disjoint union of its slots'
-    graphs, whatever grid point or lambda they come from.  Returns one row
-    per slot: the active users and the users collected by each decoder.
+    ``RUN_BLOCK`` at a time, each block as one graph, the disjoint union of
+    its slots' graphs, whatever grid point or lambda they come from.
+    Returns one row per slot: the active users and the users collected by
+    each decoder.
     """
     counts = []
     streams = substreams((seed, params.n, run) for params, seed, run in slots)
     for start in range(0, len(slots), RUN_BLOCK):
         # zip takes the slot first, so it draws no stream past the block.
-        graphs = [
-            build_adjacency(generate_instance(params, rng))
-            for (params, _, _), rng in zip(slots[start : start + RUN_BLOCK], streams)
+        block = [
+            generate_instance(params, rng) for (params, _, _), rng in zip(slots[start : start + RUN_BLOCK], streams)
         ]
-        union = disjoint_union(graphs)
-        # The union's users are the slots' users in order, n_users per slot.
-        offsets = np.cumsum([0] + [g.n_users for g in graphs[:-1]])
+        union = build_adjacency(*block)
+        # The union's users are the slots' users in order, n per slot.
+        n_users = np.array([inst.params.n for inst in block])
+        ends = np.cumsum(n_users)
+        offsets = ends - n_users
         counts.append(
             np.stack(
                 [
-                    [g.users.size for g in graphs],
+                    np.diff(np.searchsorted(union.users, ends), prepend=0),
                     np.add.reduceat(decode_noncooperative(union).collected, offsets, dtype=np.int64),
                     np.add.reduceat(decode_cooperative(union).collected, offsets, dtype=np.int64),
                 ],
@@ -349,16 +351,12 @@ def tabulate_moments(
     if not seed >= 0:
         raise ValueError("seed must be nonnegative")
     moments = np.ones((k_max, s_max))
-    stderrs = np.zeros((k_max, s_max))
     if k_max > 1:
         work = partial(placement_alphas, seed, k_max, samples_per_placement)
         alphas = _run_jobs(work, range(placements_per_k), np.ones(placements_per_k), workers)
         powers = np.arange(1, s_max + 1)
         for k in range(2, k_max + 1):
-            pw = alphas[:, k - 2, None] ** powers[None, :]
-            moments[k - 1] = pw.mean(axis=0)
-            if placements_per_k > 1:
-                stderrs[k - 1] = pw.std(axis=0, ddof=1) / math.sqrt(placements_per_k)
+            moments[k - 1] = (alphas[:, k - 2, None] ** powers[None, :]).mean(axis=0)
     return MomentTable(
         k_max=k_max,
         s_max=s_max,
@@ -366,7 +364,6 @@ def tabulate_moments(
         placements_per_k=placements_per_k,
         samples_per_placement=samples_per_placement,
         seed=seed,
-        stderrs=stderrs,
     )
 
 

@@ -25,17 +25,6 @@ class MomentTableError(ValueError):
     """Raised when a moment table file is malformed or violates invariants."""
 
 
-def uniform_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. uniform points as a (count, 2) array.
-
-    Each point takes its x then its y from the stream, so a prefix of the
-    rows is what a call for fewer points would return.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return rng.uniform(-HALF_SIDE, HALF_SIDE, size=(count, 2))
-
-
 # Constants of O'Neill's seed_seq hash as numpy.random.SeedSequence has them,
 # and the 128-bit multiplier of PCG64.
 _MASK32 = 0xFFFFFFFF
@@ -201,9 +190,7 @@ class MomentTable:
     """Tabulated moments of the normalized union-of-disks area.
 
     ``moments[k-1, s-1]`` holds the s-th moment for k disks.  The k=1 row is
-    analytic (the distribution is a Dirac at 1).  ``stderrs`` carries the
-    Monte Carlo standard error of each entry for freshly tabulated tables and
-    is ``None`` for tables loaded from disk.
+    analytic (the distribution is a Dirac at 1).
     """
 
     k_max: int
@@ -212,7 +199,6 @@ class MomentTable:
     placements_per_k: int
     samples_per_placement: int
     seed: int
-    stderrs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.moments.shape != (self.k_max, self.s_max):

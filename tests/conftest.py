@@ -34,5 +34,15 @@ def default_table() -> MomentTable:
     return MomentTable.load(DEFAULT_TABLE)
 
 
+def first_moment_stderr(table: MomentTable) -> np.ndarray:
+    """Per k, the standard error of a fresh table's first moment.
+
+    It comes from the first two moments: over P placements the sample
+    variance of alpha_k is (E[alpha^2] - E[alpha]^2) P / (P - 1).
+    """
+    m1, m2 = table.moments[:, 0], table.moments[:, 1]
+    return np.sqrt((m2 - m1 * m1) / (table.placements_per_k - 1))
+
+
 def workers() -> int:
     return int(os.environ.get("MBALOHA_TEST_WORKERS", os.cpu_count() or 1))

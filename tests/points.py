@@ -1,5 +1,5 @@
-"""Scalar point helpers: one point at a time, and the adjacency test that the
-vectorized ``build_adjacency`` is checked against."""
+"""Point helpers: one point at a time, many at once, and the adjacency test
+that the vectorized ``build_adjacency`` is checked against."""
 
 from dataclasses import dataclass
 
@@ -24,6 +24,17 @@ def uniform_point(rng: np.random.Generator) -> Point2:
     """Draw one point uniformly from the unit square."""
     x, y = rng.uniform(-HALF_SIDE, HALF_SIDE, size=2)
     return Point2(float(x), float(y))
+
+
+def uniform_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. uniform points as a (count, 2) array.
+
+    Each point takes its x then its y from the stream, so a prefix of the
+    rows is what a call for fewer points would return.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return rng.uniform(-HALF_SIDE, HALF_SIDE, size=(count, 2))
 
 
 def _xy(p) -> tuple[float, float]:

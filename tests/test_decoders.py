@@ -22,7 +22,6 @@ from mbaloha.scenario import (
     NetworkInstance,
     SystemParams,
     build_adjacency,
-    disjoint_union,
     generate_instance,
 )
 from topologies import (
@@ -31,6 +30,7 @@ from topologies import (
     graph_from_station_lists,
     incidence,
     ten_user_showcase,
+    three_round_chain_instance,
     two_station_chain,
 )
 
@@ -238,16 +238,22 @@ class TestBatchedKernel:
 
 class TestDisjointUnion:
     def test_union_decodes_each_graph_as_alone(self):
-        graphs = [
-            random_graph(SystemParams(n=n, m=m, r=r, p=p), 600 + i)
+        instances = [
+            generate_instance(SystemParams(n=n, m=m, r=r, p=p), rng_from(600 + i))
             for i, (n, m, r, p) in enumerate(
                 [(40, 12, 0.2, 0.5), (9, 5, 0.22, 0.9), (60, 30, 0.12, 0.3), (1, 1, 0.25, 1.0), (25, 8, 0.25, 0.6)]
             )
         ]
-        graphs.insert(2, graph_from_station_lists(5, [[], [], []], active=[]))  # no active users
-        graphs.insert(4, graph_from_station_lists(4, [[], []]))  # active users, no edges
-        graphs.append(ten_user_showcase())
-        union = disjoint_union(graphs)
+        silent = generate_instance(SystemParams(n=5, m=3, r=0.2, p=0.5), rng_from(606))
+        instances.insert(2, dataclasses.replace(silent, active=np.zeros(5, dtype=bool)))  # no active users
+        # Active users in one corner, stations in the opposite one: no edges.
+        far = NetworkInstance(
+            SystemParams(n=4, m=2, r=0.25, p=1.0), np.full((4, 2), -0.5), np.full((2, 2), 0.5), np.ones(4, dtype=bool)
+        )
+        instances.insert(4, far)
+        instances.append(three_round_chain_instance())
+        graphs = [build_adjacency(inst) for inst in instances]
+        union = build_adjacency(*instances)
         rounds = peel(union)
         nc_union = decode_noncooperative(union)
         coop_union = decode_cooperative(union)

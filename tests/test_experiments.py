@@ -349,4 +349,3 @@ class TestTabulateMoments:
         assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
         assert [j for job in jobs for j in job] == list(range(300))  # one item per placement
         assert np.array_equal(pooled.moments, serial.moments)
-        assert np.array_equal(pooled.stderrs, serial.stderrs)

@@ -16,9 +16,8 @@ from mbaloha.geometry import (
     parse_moment_table,
     sample_unit_disk,
     substreams,
-    uniform_points,
 )
-from points import Point2, is_adjacent, uniform_point
+from points import Point2, is_adjacent, uniform_point, uniform_points
 
 # Closed-form union of two unit circles one center-distance apart
 # (2*pi - (2*acos(1/2) - (1/2)*sqrt(3))) / pi, worked out before the build.
@@ -229,8 +228,6 @@ class TestTabulateMoments:
 
     def test_invariants_on_fresh_table(self, tiny_table):
         tiny_table.validate()
-        assert tiny_table.stderrs is not None
-        assert np.all(tiny_table.stderrs[0] == 0.0)
 
     def test_bit_identical_reruns_and_worker_independence(self):
         kwargs = dict(k_max=3, s_max=2, placements_per_k=60, samples_per_placement=500, seed=77)
@@ -263,11 +260,6 @@ class TestMomentTableIO:
         assert loaded.placements_per_k == tiny_table.placements_per_k
         # a second save is byte-identical
         assert format_moment_table(loaded) == format_moment_table(tiny_table)
-
-    def test_loaded_table_has_no_stderrs(self, tiny_table, tmp_path):
-        path = tmp_path / "table.txt"
-        path.write_text(format_moment_table(tiny_table), encoding="ascii")
-        assert MomentTable.load(path).stderrs is None
 
     @pytest.mark.parametrize(
         "mangle",

@@ -20,13 +20,11 @@ from mbaloha.scenario import (
     SystemParams,
     build_adjacency,
     coverage_probability,
-    disjoint_union,
     dump_instance,
     generate_instance,
     parse_instance,
-    uniform_points,
 )
-from points import is_adjacent
+from points import is_adjacent, uniform_points
 from topologies import incidence
 
 small_params = st.builds(
@@ -158,12 +156,90 @@ class TestBuildAdjacency:
             assert nbrs == graph.users[expected[l]].tolist()
 
 
+def all_pairs_incidence(instances) -> np.ndarray:
+    """Dense station x column incidence of the instances side by side, pair by pair."""
+    blocks = [
+        np.array(
+            [
+                [is_adjacent(inst.user_xy[i], xy, inst.params.r) for i in np.flatnonzero(inst.active)]
+                for xy in inst.station_xy
+            ],
+            dtype=bool,
+        ).reshape(inst.params.m, inst.active_count)
+        for inst in instances
+    ]
+    dense = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=bool)
+    row = col = 0
+    for b in blocks:
+        dense[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return dense
+
+
+def boundary_instance(r: float) -> NetworkInstance:
+    """Users across the square, x = +-1/2 included, each with stations at
+    distance exactly r along x and along y, and one float step beyond."""
+    xs = (-0.5, -0.3141592653589793, -0.1, 0.0, 0.2718281828459045, 0.5)
+    users = [(x, y) for x in xs for y in (-0.5, 0.123456789, 0.5)]
+    stations = []
+    for ux, uy in users:
+        for sx, sy in (
+            (ux + r, uy), (ux - r, uy), (ux, uy + r), (ux, uy - r),
+            (np.nextafter(ux + r, 1.0), uy), (np.nextafter(ux - r, -1.0), uy),
+            (ux, np.nextafter(uy + r, 1.0)), (ux, np.nextafter(uy - r, -1.0)),
+        ):
+            if abs(sx) <= 0.5 and abs(sy) <= 0.5:
+                stations.append((sx, sy))
+    params = SystemParams(n=len(users), m=len(stations), r=r, p=1.0)
+    return NetworkInstance(params, np.array(users), np.array(stations), np.ones(len(users), dtype=bool))
+
+
+class TestBlockAdjacency:
+    """The graph of many slots built at once against the all-pairs test."""
+
+    @staticmethod
+    def _check(instances):
+        union = build_adjacency(*instances)
+        offsets = np.cumsum([0] + [inst.params.n for inst in instances[:-1]])
+        users = np.concatenate([np.flatnonzero(inst.active) + o for inst, o in zip(instances, offsets)])
+        assert union.n_stations == sum(inst.params.m for inst in instances)
+        assert union.n_users == sum(inst.params.n for inst in instances)
+        assert np.array_equal(union.users, users)
+        assert len(set(zip(union.station.tolist(), union.column.tolist()))) == union.station.size
+        assert np.array_equal(incidence(union), all_pairs_incidence(instances))
+        return union
+
+    @pytest.mark.parametrize("r", [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
+    def test_exact_distance_pairs_alone(self, r):
+        assert self._check([boundary_instance(r)]).station.size > 0
+
+    @pytest.mark.parametrize("r", [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
+    def test_exact_distance_pairs_in_last_of_128_slots(self, r):
+        rng = rng_from(77)
+        instances = [generate_instance(SystemParams(n=12, m=6, r=r, p=0.5), rng) for _ in range(125)]
+        silent = generate_instance(SystemParams(n=5, m=4, r=r, p=0.5), rng)
+        no_users = NetworkInstance(silent.params, silent.user_xy, silent.station_xy, np.zeros(5, dtype=bool))
+        # Active users in one corner, stations in the opposite one: no edge.
+        far = NetworkInstance(
+            SystemParams(n=3, m=2, r=r, p=1.0),
+            np.full((3, 2), -0.5),
+            np.full((2, 2), 0.5),
+            np.ones(3, dtype=bool),
+        )
+        instances = [no_users, *instances, far, boundary_instance(r)]
+        assert len(instances) == 128
+        union = self._check(instances)
+        assert (union.station >= union.n_stations - instances[-1].params.m).any()
+
+
 class TestDisjointUnion:
     @given(st.lists(st.tuples(small_params, st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
     @settings(max_examples=30)
     def test_offsets_keep_graphs_apart(self, draws):
-        graphs = [build_adjacency(generate_instance(params, rng_from(seed))) for params, seed in draws]
-        union = disjoint_union(graphs)
+        instances = [generate_instance(params, rng_from(seed)) for params, seed in draws]
+        graphs = [build_adjacency(inst) for inst in instances]
+        union = build_adjacency(*instances)
+        assert np.array_equal(incidence(union), all_pairs_incidence(instances))
         assert union.n_stations == sum(g.n_stations for g in graphs)
         assert union.n_users == sum(g.n_users for g in graphs)
         expected, offset = [], 0

@@ -4,7 +4,7 @@ sequential peeling decoder used as the differential reference."""
 import numpy as np
 
 from mbaloha.decoders import DecodingResult
-from mbaloha.scenario import BipartiteGraph
+from mbaloha.scenario import BipartiteGraph, NetworkInstance, SystemParams
 
 
 def graph_from_station_lists(n_users: int, station_neighbors: list[list[int]], active=None) -> BipartiteGraph:
@@ -78,3 +78,11 @@ def four_cycle() -> BipartiteGraph:
 def two_station_chain() -> BipartiteGraph:
     """u0 at b0 and b1, u1 at b1 only: b0 frees u1's station in round 2."""
     return graph_from_station_lists(2, [[0], [0, 1]])
+
+
+def three_round_chain_instance() -> NetworkInstance:
+    """Three users on a line at r = 0.1, placed so that b0 hears u0, b1 hears
+    u0 and u1, and b2 hears u1 and u2: peeling delivers one user per round."""
+    users = np.array([[0.0, 0.0], [0.15, 0.0], [0.30, 0.0]])
+    stations = np.array([[-0.08, 0.0], [0.075, 0.0], [0.225, 0.0]])
+    return NetworkInstance(SystemParams(n=3, m=3, r=0.1, p=1.0), users, stations, np.ones(3, dtype=bool))
