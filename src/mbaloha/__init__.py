@@ -12,7 +12,6 @@ from .analytics import (
     g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
-    throughput,
     zeta,
 )
 from .decoders import (

@@ -4,9 +4,10 @@ The non-cooperative collection probability is an inclusion-exclusion series
 over the number k of stations jointly empty of interferers; the k-th term
 couples a degree weight (binomial zeta_k, or its Poisson limit lambda^k/k!)
 with a moment of the normalized union-of-disks area.  The cooperative
-heuristic chains two peeling iterations of the same structure.  Truncated
-alternating series can leave [0, 1]; values are clamped and flagged rather
-than silently repaired.
+heuristic chains two peeling iterations of the same structure.  The
+formulas are arithmetic on moment arrays: the length of the array they are
+given is the truncation.  Truncated alternating series can leave [0, 1];
+values are clamped and flagged rather than silently repaired.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MomentTable
 from .scenario import SystemParams, coverage_probability
 
 #: Truncation is unreliable once lambda approaches k_max; see the warning below.
@@ -74,17 +74,19 @@ def _clamp01(raw: float) -> tuple[float, bool]:
     return raw, False
 
 
-def _poisson_weights(rate: float, k_max: int) -> np.ndarray:
-    """rate^k / k! for k = 1..k_max, via log space."""
-    if rate == 0.0:
-        return np.zeros(k_max)
-    ks = np.arange(1, k_max + 1)
-    return np.exp(ks * math.log(rate) - np.array([math.lgamma(k + 1) for k in ks]))
-
-
-def _alternating_sum(weights: np.ndarray, factors: np.ndarray) -> float:
+def _alternating_sum(weights: np.ndarray, factors) -> float:
+    """fsum over k = 1..len(weights) of (-1)^(k-1) weights[k-1] factors[k-1]."""
     signs = np.where(np.arange(len(weights)) % 2 == 0, 1.0, -1.0)
     return math.fsum((signs * weights * factors).tolist())
+
+
+def _poisson_sum(rate: float, factors: np.ndarray) -> float:
+    """The alternating sum with the Poisson weights rate^k / k!, taken in log space."""
+    if rate == 0.0:
+        return 0.0
+    ks = np.arange(1, len(factors) + 1)
+    weights = np.exp(ks * math.log(rate) - np.array([math.lgamma(k + 1) for k in ks]))
+    return _alternating_sum(weights, factors)
 
 
 def _check_truncation(lam: float, k_max: int) -> None:
@@ -94,14 +96,6 @@ def _check_truncation(lam: float, k_max: int) -> None:
             f"use k_max >= {math.ceil(lam / TRUNCATION_SAFE_FACTOR)}",
             stacklevel=3,
         )
-
-
-def _first_moments(table: MomentTable, k_max: int | None) -> np.ndarray:
-    if k_max is None:
-        k_max = table.k_max
-    if not 1 <= k_max <= table.k_max:
-        raise ValueError(f"k_max={k_max} exceeds tabulated k_max={table.k_max}")
-    return table.first_moments[:k_max]
 
 
 def zeta(k: int, m: int, r: float) -> float:
@@ -119,43 +113,37 @@ def zeta(k: int, m: int, r: float) -> float:
     return math.exp(math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * math.log(q))
 
 
-def collection_prob_noncoop_asymptotic(
-    lam: float, psi: float, table: MomentTable, k_max: int | None = None
-) -> SeriesValue:
+def collection_prob_noncoop_asymptotic(lam: float, psi: float, alphas: np.ndarray) -> SeriesValue:
     """Truncated series for P(collected | active) without cooperation.
 
-    ``psi`` is G * lambda.  Uses the first area moments; the unconditional
+    ``psi`` is G * lambda and ``alphas`` holds the first area moments
+    E[alpha_k] for k = 1..K, K being the truncation.  The unconditional
     probability is p times the returned value.
     """
-    alphas = _first_moments(table, k_max)
     _check_truncation(lam, len(alphas))
-    weights = _poisson_weights(lam, len(alphas))
-    raw = _alternating_sum(weights, np.exp(-alphas * psi))
+    raw = _poisson_sum(lam, np.exp(-alphas * psi))
     value, clamped = _clamp01(raw)
     return SeriesValue(value, clamped, raw)
 
 
-def collection_prob_noncoop_finite(
-    params: SystemParams, table: MomentTable, k_max: int | None = None
-) -> FiniteBracket:
+def collection_prob_noncoop_finite(params: SystemParams, moments: np.ndarray) -> FiniteBracket:
     """Finite-regime bracket on the unconditional collection probability.
 
-    The nominal-placement probability is the alternating sum of zeta_k times
-    the moment-expanded integral I_k; the boundary strip contributes the
-    bracket width p (8r - 16r^2).  Refuses inputs whose polynomial expansion
-    would lose more than ~12 digits to cancellation (use the asymptotic
-    series instead).
+    ``moments[k-1, s-1]`` holds E[alpha_k^s]; the k-sum runs to
+    min(m, len(moments)).  The nominal-placement probability is the
+    alternating sum of zeta_k times the moment-expanded integral I_k; the
+    boundary strip contributes the bracket width p (8r - 16r^2).  Refuses
+    inputs whose polynomial expansion would lose more than ~12 digits to
+    cancellation (use the asymptotic series instead).
     """
     n, m, r, p = params.n, params.m, params.r, params.p
-    if n - 1 > table.s_max:
+    s_max = moments.shape[1]
+    if n - 1 > s_max:
         raise ValueError(
-            f"table provides moments up to s_max={table.s_max}, need n-1={n - 1}; "
+            f"table provides moments up to s_max={s_max}, need n-1={n - 1}; "
             "tabulate more moments or use the asymptotic path"
         )
-    if k_max is None:
-        k_max = min(m, table.k_max)
-    if not 1 <= k_max <= min(m, table.k_max):
-        raise ValueError(f"k_max={k_max} outside 1..min(m, table.k_max)")
+    k_max = min(m, len(moments))
 
     x = p * r * r * math.pi
     log_x = math.log(x)
@@ -163,13 +151,12 @@ def collection_prob_noncoop_finite(
     log_choose = np.array(
         [lg_n - math.lgamma(s + 1) - math.lgamma(n - s) for s in range(n)]
     )
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
 
     integrals = np.empty(k_max)
     for k in range(1, k_max + 1):
-        log_moments = np.concatenate(([0.0], np.log(table.moments[k - 1, : n - 1])))
+        log_moments = np.concatenate(([0.0], np.log(moments[k - 1, : n - 1])))
         mags = np.exp(log_choose + np.arange(n) * log_x + log_moments)
-        value = math.fsum((signs * mags).tolist())
+        value = _alternating_sum(mags, 1.0)
         if value <= 0.0 or (mags.max() > 0 and math.log10(mags.max() / abs(value)) > _MAX_CANCELLATION_DIGITS):
             raise ValueError(
                 f"polynomial moment expansion for n={n} is numerically unstable; "
@@ -199,46 +186,29 @@ def lower_bound_noncoop(lam: float, psi: float, p: float) -> float:
     return p * (-math.expm1(-lam)) * math.exp(-4.0 * psi)
 
 
-def heuristic_coop(
-    lam: float, psi: float, table: MomentTable, k_max: int | None = None
-) -> HeuristicResult:
+def heuristic_coop(lam: float, psi: float, alphas: np.ndarray) -> HeuristicResult:
     """Two-iteration cooperative heuristic: sigma1 -> rho1 -> sigma2.
 
-    Each stage is the same truncated alternating series with the previous
+    ``alphas`` holds the first area moments E[alpha_k], k = 1..K.  Each
+    stage is the same truncated alternating series with the previous
     stage's survival probability raised to the mean area; each stage is
     clamped to [0, 1] with the stage name recorded when clamping fired.
     The conditional collection probability is 1 - sigma2.
     """
-    alphas = _first_moments(table, k_max)
     _check_truncation(lam, len(alphas))
-    w_lam = _poisson_weights(lam, len(alphas))
-    w_psi = _poisson_weights(psi, len(alphas))
     flags: list[str] = []
 
-    sigma1_raw = 1.0 - _alternating_sum(w_lam, np.exp(-alphas * psi))
-    sigma1, c1 = _clamp01(sigma1_raw)
-    if c1:
-        flags.append("sigma1")
+    def stage(name: str, raw: float) -> float:
+        value, clamped = _clamp01(raw)
+        if clamped:
+            flags.append(name)
+        return value
 
-    rho1_raw = _alternating_sum(w_psi, sigma1**alphas)
-    rho1, c2 = _clamp01(rho1_raw)
-    if c2:
-        flags.append("rho1")
-
-    sigma2_raw = 1.0 - _alternating_sum(w_lam, (1.0 - rho1) ** alphas)
-    sigma2, c3 = _clamp01(sigma2_raw)
-    if c3:
-        flags.append("sigma2")
-
+    sigma1 = stage("sigma1", 1.0 - _poisson_sum(lam, np.exp(-alphas * psi)))
+    rho1 = stage("rho1", _poisson_sum(psi, sigma1**alphas))
+    sigma2 = stage("sigma2", 1.0 - _poisson_sum(lam, (1.0 - rho1) ** alphas))
     state = HeuristicState(sigma1=sigma1, rho1=rho1, sigma2=sigma2)
     return HeuristicResult(state=state, conditional=1.0 - sigma2, clamped=tuple(flags))
-
-
-def throughput(load_g: float, conditional_prob: float) -> float:
-    """Normalized per-station throughput T = G * P(collected | active)."""
-    if load_g < 0 or conditional_prob < 0:
-        raise ValueError("inputs must be nonnegative")
-    return load_g * conditional_prob
 
 
 def _moving_average3(vals: np.ndarray) -> np.ndarray:

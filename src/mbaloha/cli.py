@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import collection_prob_noncoop_finite
-from .decoders import brute_force_collection_probability, mask_monte_carlo
+from .decoders import all_users_adjacency, brute_force_collection_probability, mask_monte_carlo
 from .experiments import (
     SweepConfig,
     compare_report,
@@ -57,15 +57,12 @@ class RunManifest:
     seed: int
     params: dict = field(default_factory=dict)
     moment_table_checksum: str | None = None
-    outputs: list[str] = field(default_factory=list)
 
     def render(self) -> str:
         parts = [f"mbaloha={__version__}", f"cmd={self.subcommand}", f"seed={self.seed}"]
         parts += [f"{k}={v}" for k, v in sorted(self.params.items())]
         if self.moment_table_checksum is not None:
             parts.append(f"moment_table_sha256={self.moment_table_checksum}")
-        if self.outputs:
-            parts.append("out=" + ";".join(self.outputs))
         return " ".join(parts)
 
 
@@ -122,9 +119,8 @@ def _workers(args) -> int:
     return args.threads if args.threads > 0 else (os.cpu_count() or 1)
 
 
-def _emit(args, text: str, manifest: RunManifest) -> None:
+def _emit(args, text: str) -> None:
     if args.out is not None:
-        manifest.outputs.append(args.out)
         _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
@@ -177,14 +173,20 @@ def _cmd_sweep(args) -> int:
         g_grid=_parse_grid(args.grid),
         runs_per_point=args.runs,
         seed=args.seed,
-        k_max=args.k_max,
     )
+    if args.k_max < 1:
+        raise ValueError("k_max must be positive")
     manifest.params["r"] = config.r
-    table = MomentTable.load(args.moment_table) if args.moment_table is not None else None
-    rows = sweep_load(config, table, workers=_workers(args))
+    alphas = None
+    if args.moment_table is not None:
+        table = MomentTable.load(args.moment_table)
+        if args.k_max > table.k_max:
+            raise ValueError(f"k_max={args.k_max} exceeds the table's k_max={table.k_max}")
+        alphas = table.first_moments[: args.k_max]
+    rows = sweep_load(config, alphas, workers=_workers(args))
     csv = render_sweep_csv(rows, manifest.render())
     report = compare_report(rows, m=args.m)
-    _emit(args, csv, manifest)
+    _emit(args, csv)
     # Keep the report out of the CSV stream.
     stream = sys.stdout if args.out is not None else sys.stderr
     stream.write(report)
@@ -223,7 +225,7 @@ def _cmd_gbullet(args) -> int:
         eps_list=_parse_floats(args.eps),
         workers=_workers(args),
     )
-    _emit(args, render_gbullet_csv(cells, manifest.render()), manifest)
+    _emit(args, render_gbullet_csv(cells, manifest.render()))
     return EXIT_OK
 
 
@@ -238,8 +240,9 @@ def _cmd_oracle(args) -> int:
         params = SystemParams(n=args.n, m=args.m, r=args.r, p=args.p)
         rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
         instance = generate_instance(params, rng)
-    exact = brute_force_collection_probability(instance)
-    mc = mask_monte_carlo(instance, n_masks=args.masks, seed=args.seed + 1)
+    graph = all_users_adjacency(instance)
+    exact = brute_force_collection_probability(graph, params.p)
+    mc = mask_monte_carlo(graph, params.p, n_masks=args.masks, seed=args.seed + 1)
     manifest = RunManifest(
         "oracle",
         args.seed,
@@ -275,12 +278,12 @@ def _cmd_oracle(args) -> int:
     lines.append(f"# cooperative >= non-cooperative per user: {'pass' if superset else 'FAIL'}")
     if args.moment_table is not None:
         table = MomentTable.load(args.moment_table)
-        bracket = collection_prob_noncoop_finite(params, table)
+        bracket = collection_prob_noncoop_finite(params, table.moments)
         lines.append(
             "# finite bracket on position-averaged P(coll), noncoop: "
             f"[{bracket.lower:.6g}, {bracket.upper:.6g}] (reference; this run is one placement)"
         )
-    _emit(args, "\n".join(lines) + "\n", manifest)
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -304,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambda", dest="lam", type=float, default=3.0)
     sweep.add_argument("--grid", type=str, default="0:1:0.05", help="start:stop:step or comma list of G values")
     sweep.add_argument("--runs", type=int, default=1000)
-    sweep.add_argument("--k-max", dest="k_max", type=int, default=34)
-    sweep.add_argument("--moment-table", dest="moment_table", type=str, default=None)
-    sweep.add_argument("--no-analytic", dest="no_analytic", action="store_true")
+    sweep.add_argument("--k-max", dest="k_max", type=int, default=34, help="series truncation, at most the table's")
+    analytic = sweep.add_mutually_exclusive_group()
+    analytic.add_argument("--moment-table", dest="moment_table", type=str, default=None)
+    analytic.add_argument("--no-analytic", dest="no_analytic", action="store_true")
     sweep.set_defaults(func=_cmd_sweep, needs_out=False)
 
     gb = subs.add_parser("gbullet", help="max-load metric over a lambda grid")

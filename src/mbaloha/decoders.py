@@ -91,8 +91,12 @@ def decode_cooperative(graph: BipartiteGraph) -> DecodingResult:
     return _decode(graph, cooperative=True)
 
 
-def _all_users_adjacency(instance: NetworkInstance) -> BipartiteGraph:
-    """Decoding graph over every user, whatever the instance's own mask."""
+def all_users_adjacency(instance: NetworkInstance) -> BipartiteGraph:
+    """Decoding graph over every user, whatever the instance's own mask.
+
+    Both oracles decode masked copies of this graph; build it once per
+    placement and pass it to each.
+    """
     everyone = np.ones(instance.params.n, dtype=bool)
     return build_adjacency(dataclasses.replace(instance, active=everyone))
 
@@ -116,6 +120,17 @@ def _peel_masks(graph: BipartiteGraph, masks: np.ndarray) -> np.ndarray:
     return rounds.reshape(copies, users)
 
 
+def _tally(graph: BipartiteGraph, masks: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Decodes of ``masks`` on ``graph`` that collect each user, per group.
+
+    Row b of the (B, G) ``groups`` weights decode b into G groups.  Returns
+    a (2, G, users) array: the non-cooperative counts, then the cooperative
+    ones.
+    """
+    rounds = _peel_masks(graph, masks)
+    return groups.T @ np.stack([rounds == 1, rounds > 0])
+
+
 class CollectionProbabilities(NamedTuple):
     """Per-user collection probabilities for both decoding modes."""
 
@@ -123,31 +138,27 @@ class CollectionProbabilities(NamedTuple):
     cooperative: np.ndarray
 
 
-def brute_force_collection_probability(instance: NetworkInstance) -> CollectionProbabilities:
+def brute_force_collection_probability(graph: BipartiteGraph, p: float) -> CollectionProbabilities:
     """Exact P(user collected) by enumerating all 2^n activation masks.
 
-    The instance's own mask is ignored; each subset S of users is weighted
-    p^|S| (1-p)^(n-|S|).  Masks are decoded in blocks of ``MASK_BLOCK``, and
-    per user the masks collecting it are counted exactly by subset size
+    ``graph`` is ``all_users_adjacency`` of a placement and every user is
+    active with probability ``p``: each subset S of users is weighted
+    p^|S| (1-p)^(n-|S|).  Masks are decoded in blocks of ``MASK_BLOCK``,
+    and per user the masks collecting it are counted exactly by subset size
     before the weights are applied, so memory does not grow with 2^n.
     """
-    n, p = instance.params.n, instance.params.p
+    n = graph.n_users
     if n > BRUTE_FORCE_MAX_USERS:
         raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_USERS}, got {n}")
-    graph = _all_users_adjacency(instance)
     bits = 1 << np.arange(n)
-    # counts[s, u]: masks with s active users in which user u is collected
-    counts_nc = np.zeros((n + 1, n))
-    counts_coop = np.zeros((n + 1, n))
+    # counts[d, s, u]: masks with s active users in which decoder d collects user u
+    counts = 0.0
     for lo in range(0, 1 << n, MASK_BLOCK):
         masks = (np.arange(lo, min(lo + MASK_BLOCK, 1 << n))[:, None] & bits) != 0
-        size = np.eye(n + 1)[masks.sum(axis=1)]
-        rounds = _peel_masks(graph, masks)
-        counts_nc += size.T @ (rounds == 1)
-        counts_coop += size.T @ (rounds > 0)
+        counts = counts + _tally(graph, masks, np.eye(n + 1)[masks.sum(axis=1)])
     sizes = np.arange(n + 1)
     weights = p**sizes * (1.0 - p) ** (n - sizes)
-    return CollectionProbabilities(weights @ counts_nc, weights @ counts_coop)
+    return CollectionProbabilities(weights @ counts[0], weights @ counts[1])
 
 
 class MaskMonteCarlo(NamedTuple):
@@ -160,26 +171,21 @@ class MaskMonteCarlo(NamedTuple):
     n_masks: int
 
 
-def mask_monte_carlo(instance: NetworkInstance, n_masks: int, seed: int) -> MaskMonteCarlo:
+def mask_monte_carlo(graph: BipartiteGraph, p: float, n_masks: int, seed: int) -> MaskMonteCarlo:
     """Estimate per-user collection probabilities over random activation masks.
 
-    Masks are drawn and decoded ``MASK_BLOCK`` at a time; the unconditional
-    per-user estimate is (times collected)/n_masks with its binomial
-    standard error.
+    ``graph`` is ``all_users_adjacency`` of a placement and every user is
+    active with probability ``p``.  Masks are drawn and decoded
+    ``MASK_BLOCK`` at a time; the unconditional per-user estimate is (times
+    collected)/n_masks with its binomial standard error.
     """
     if n_masks < 1:
         raise ValueError(f"n_masks must be a positive integer, got {n_masks}")
-    n, p = instance.params.n, instance.params.p
-    graph = _all_users_adjacency(instance)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    hits_nc = np.zeros(n, dtype=np.int64)
-    hits_coop = np.zeros(n, dtype=np.int64)
+    hits = 0.0
     for lo in range(0, n_masks, MASK_BLOCK):
-        masks = rng.random((min(MASK_BLOCK, n_masks - lo), n)) < p
-        rounds = _peel_masks(graph, masks)
-        hits_nc += (rounds == 1).sum(axis=0)
-        hits_coop += (rounds > 0).sum(axis=0)
-    ph_nc = hits_nc / n_masks
-    ph_coop = hits_coop / n_masks
+        masks = rng.random((min(MASK_BLOCK, n_masks - lo), graph.n_users)) < p
+        hits = hits + _tally(graph, masks, np.ones((len(masks), 1)))
+    ph_nc, ph_coop = hits[:, 0] / n_masks
     se = lambda ph: np.sqrt(ph * (1.0 - ph) / n_masks)
     return MaskMonteCarlo(ph_nc, ph_coop, se(ph_nc), se(ph_coop), n_masks)

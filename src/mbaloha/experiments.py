@@ -57,7 +57,6 @@ class SweepConfig:
     g_grid: tuple[float, ...]
     runs_per_point: int
     seed: int
-    k_max: int = 34
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
@@ -80,8 +79,6 @@ class SweepConfig:
             raise ValueError("runs_per_point must be positive")
         if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
-        if not self.k_max >= 1:
-            raise ValueError("k_max must be positive")
 
     @property
     def r(self) -> float:
@@ -238,15 +235,15 @@ def _pooled(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sweep_load(
-    config: SweepConfig, table: MomentTable | None = None, workers: int | None = None
+    config: SweepConfig, alphas: np.ndarray | None = None, workers: int | None = None
 ) -> list[SweepRow]:
     """Run both decoders over the load grid and attach analytic columns.
 
-    Without a moment table the analytic columns are NaN and the rows
-    flagged; Monte Carlo columns are always produced.
+    ``alphas`` holds the first area moments E[alpha_k], k = 1..K, that the
+    series and the heuristic are truncated to.  Without them the analytic
+    columns are NaN and the rows flagged; Monte Carlo columns are always
+    produced.
     """
-    if table is not None and config.k_max > table.k_max:
-        raise ValueError(f"k_max={config.k_max} exceeds the table's k_max={table.k_max}")
     users, counts = _simulate([config], workers)[0]
     probs, stderrs = _pooled(counts)
     # The six mc_* columns in SWEEP_COLUMNS order, one row per grid point.
@@ -263,11 +260,11 @@ def sweep_load(
         flags: list[str] = []
         psi = g_real * lam
         lower = lower_bound_noncoop(lam, psi, config.p) / config.p
-        if table is not None:
-            series = collection_prob_noncoop_asymptotic(lam, psi, table, config.k_max)
+        if alphas is not None:
+            series = collection_prob_noncoop_asymptotic(lam, psi, alphas)
             if series.clamped:
                 flags.append("analytic_noncoop")
-            heur = heuristic_coop(lam, psi, table, config.k_max)
+            heur = heuristic_coop(lam, psi, alphas)
             flags.extend(f"coop_{name}" for name in heur.clamped)
             analytic_nc = series.value
             analytic_coop = heur.conditional

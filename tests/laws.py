@@ -1,10 +1,10 @@
 """Degree laws, closed forms and small wrappers that only the tests use: the
 finite (binomial) and asymptotic (Poisson) degree laws of a nominally placed
 user or station, the masks of nominally placed nodes, the coverage threshold
-lambda_min, the single-station baseline, a grid-scan form of G•, the
-per-point window-3 moving average that G• smoothing is checked against, and
-the per-point pooled ratio that the sweep's Monte Carlo columns are checked
-against."""
+lambda_min, the single-station baseline, the normalized throughput, a
+grid-scan form of G•, the per-point window-3 moving average that G•
+smoothing is checked against, and the per-point pooled ratio that the
+sweep's Monte Carlo columns are checked against."""
 
 import math
 from typing import Callable
@@ -83,6 +83,13 @@ def single_station(np_product: float) -> float:
     if np_product < 0:
         raise ValueError("n p must be nonnegative")
     return np_product * math.exp(-np_product)
+
+
+def throughput(load_g: float, conditional_prob: float) -> float:
+    """Normalized per-station throughput T = G * P(collected | active)."""
+    if load_g < 0 or conditional_prob < 0:
+        raise ValueError("inputs must be nonnegative")
+    return load_g * conditional_prob
 
 
 def g_bullet(

@@ -24,6 +24,7 @@ from mbaloha.analytics import (
 )
 from mbaloha.cli import DEFAULT_SEED
 from mbaloha.decoders import (
+    all_users_adjacency,
     brute_force_collection_probability,
     decode_cooperative,
     decode_noncooperative,
@@ -63,9 +64,8 @@ def _throughput_sweep(lam: float, table: MomentTable) -> list:
         g_grid=tuple(round(0.05 * i, 10) for i in range(21)),
         runs_per_point=1000,
         seed=ACCEPT_SEED,
-        k_max=34,
     )
-    return sweep_load(config, table, workers=workers())
+    return sweep_load(config, table.first_moments[:34], workers=workers())
 
 
 @pytest.fixture(scope="session")
@@ -107,8 +107,9 @@ def _oracle_case(seed: int):
     p = float(rng.uniform(0.15, 0.85))
     params = SystemParams(n=n, m=m, r=r, p=p)
     instance = generate_instance(params, rng)
-    exact = brute_force_collection_probability(instance)
-    mc = mask_monte_carlo(instance, n_masks=100_000, seed=seed * 7 + 1)
+    graph = all_users_adjacency(instance)
+    exact = brute_force_collection_probability(graph, p)
+    mc = mask_monte_carlo(graph, p, n_masks=100_000, seed=seed * 7 + 1)
     zs = []
     hard_fail = False
     for truth, est in (
@@ -224,7 +225,6 @@ def _lemma_spot_check(args):
         g_grid=(g,),
         runs_per_point=250,
         seed=seed,
-        k_max=34,
     )
     row = sweep_load(config)[0]
     return row.mc_prob_noncoop, row.mc_prob_noncoop_stderr
@@ -238,7 +238,7 @@ def test_criterion_7_lemma_lower_bound(shipped_table):
         for g in np.arange(0.0, 1.001, 0.1):
             lam_r = round(float(lam), 10)
             psi = round(float(g), 10) * lam_r
-            series = collection_prob_noncoop_asymptotic(lam_r, psi, shipped_table, k_max=50)
+            series = collection_prob_noncoop_asymptotic(lam_r, psi, shipped_table.first_moments[:50])
             if series.clamped:
                 clamped += 1
                 continue
@@ -275,7 +275,7 @@ def test_criterion_8_heuristic_trend(shipped_table, sweep_lam3):
         worst = max(worst, abs(heuristic_t - row.mc_T_coop))
     exact_ok = True
     for lam in (3.0, 6.0):
-        res = heuristic_coop(lam, 0.0, shipped_table, k_max=34)
+        res = heuristic_coop(lam, 0.0, shipped_table.first_moments[:34])
         if abs(res.state.sigma2 - math.exp(-lam)) > 1e-12 or res.state.rho1 != 0.0:
             exact_ok = False
     ok = worst <= 0.05 and exact_ok

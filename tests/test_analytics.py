@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from conftest import first_moment_stderr, rng_from
-from laws import g_bullet, moving_average3_reference, single_station
+from laws import g_bullet, moving_average3_reference, single_station, throughput
 from mbaloha.analytics import (
     _moving_average3,
     collection_prob_noncoop_asymptotic,
@@ -13,11 +13,10 @@ from mbaloha.analytics import (
     g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
-    throughput,
     zeta,
 )
-from mbaloha.decoders import brute_force_collection_probability
-from mbaloha.geometry import HALF_SIDE, MomentTable
+from mbaloha.decoders import all_users_adjacency, brute_force_collection_probability
+from mbaloha.geometry import HALF_SIDE
 from mbaloha.scenario import NetworkInstance, SystemParams, coverage_probability
 from points import uniform_points
 
@@ -35,13 +34,11 @@ def quadrature_mean_alpha(k: int) -> float:
 
 
 @pytest.fixture(scope="session")
-def quad_table() -> MomentTable:
-    """First-moments table from quadrature: exact, monotone, k up to 80."""
-    moments = np.array([[quadrature_mean_alpha(k)] for k in range(1, 81)])
-    moments[0, 0] = 1.0
-    return MomentTable(
-        k_max=80, s_max=1, moments=moments, placements_per_k=1, samples_per_placement=1, seed=0
-    )
+def quad_alphas() -> np.ndarray:
+    """First moments from quadrature: exact, monotone, k up to 80."""
+    alphas = np.array([quadrature_mean_alpha(k) for k in range(1, 81)])
+    alphas[0] = 1.0
+    return alphas
 
 
 class TestZeta:
@@ -80,69 +77,61 @@ class TestZeta:
 
 
 class TestNoncoopAsymptotic:
-    def test_zero_interference_reduces_to_coverage(self, quad_table):
-        value = collection_prob_noncoop_asymptotic(3.0, 0.0, quad_table, k_max=34).value
+    def test_zero_interference_reduces_to_coverage(self, quad_alphas):
+        value = collection_prob_noncoop_asymptotic(3.0, 0.0, quad_alphas[:34]).value
         assert value == pytest.approx(coverage_probability(3.0), abs=1e-6)
         assert value == pytest.approx(0.9502, abs=1e-4)
 
-    def test_coverage_limit_across_lambdas(self, quad_table):
+    def test_coverage_limit_across_lambdas(self, quad_alphas):
         for lam in (1.0, 2.0, 4.0, 6.0):
             k_max = max(20, math.ceil(10 * lam))
-            value = collection_prob_noncoop_asymptotic(lam, 0.0, quad_table, k_max=k_max).value
+            value = collection_prob_noncoop_asymptotic(lam, 0.0, quad_alphas[:k_max]).value
             assert value == pytest.approx(coverage_probability(lam), abs=1e-6)
 
-    def test_lambda_zero_gives_zero(self, quad_table):
-        assert collection_prob_noncoop_asymptotic(0.0, 0.0, quad_table).value == 0.0
+    def test_lambda_zero_gives_zero(self, quad_alphas):
+        assert collection_prob_noncoop_asymptotic(0.0, 0.0, quad_alphas).value == 0.0
 
-    def test_truncation_sanity_34_vs_50(self, quad_table):
+    def test_truncation_sanity_34_vs_50(self, quad_alphas):
         for lam in (1.0, 3.0, 6.0):
             for g in (0.0, 0.5, 1.0):
-                v34 = collection_prob_noncoop_asymptotic(lam, g * lam, quad_table, k_max=34).value
-                v50 = collection_prob_noncoop_asymptotic(lam, g * lam, quad_table, k_max=50).value
+                v34 = collection_prob_noncoop_asymptotic(lam, g * lam, quad_alphas[:34]).value
+                v50 = collection_prob_noncoop_asymptotic(lam, g * lam, quad_alphas[:50]).value
                 assert abs(v34 - v50) < 1e-4
 
-    def test_truncation_warning_and_clamp_flag(self, quad_table):
+    def test_truncation_warning_and_clamp_flag(self, quad_alphas):
         with pytest.warns(UserWarning, match="k_max"):
-            result = collection_prob_noncoop_asymptotic(30.0, 0.0, quad_table, k_max=6)
+            result = collection_prob_noncoop_asymptotic(30.0, 0.0, quad_alphas[:6])
         assert result.clamped
         assert 0.0 <= result.value <= 1.0
         assert result.raw != result.value
-
-    def test_k_max_beyond_table_rejected(self, quad_table):
-        with pytest.raises(ValueError):
-            collection_prob_noncoop_asymptotic(1.0, 0.1, quad_table, k_max=81)
 
 
 class TestNoncoopFinite:
     def test_bracket_width_vanishes_with_r(self, tiny_table):
         for r in (0.1, 0.01, 0.001):
             params = SystemParams(n=5, m=3, r=r, p=0.5)
-            bracket = collection_prob_noncoop_finite(params, tiny_table)
+            bracket = collection_prob_noncoop_finite(params, tiny_table.moments)
             width = bracket.upper - bracket.lower
             assert width == pytest.approx(0.5 * (8 * r - 16 * r * r), rel=1e-12)
 
     def test_missing_moments_rejected(self, tiny_table):
         params = SystemParams(n=tiny_table.s_max + 2, m=3, r=0.1, p=0.5)
         with pytest.raises(ValueError, match="s_max"):
-            collection_prob_noncoop_finite(params, tiny_table)
+            collection_prob_noncoop_finite(params, tiny_table.moments)
 
     def test_unstable_expansion_rejected(self):
         # Dirac-at-1 table is legal for every k, s; n=600 at x ~ 0.147
         # loses far more than 12 digits to cancellation.
-        table = MomentTable(
-            k_max=8, s_max=620, moments=np.ones((8, 620)),
-            placements_per_k=1, samples_per_placement=1, seed=0,
-        )
         params = SystemParams(n=600, m=3, r=0.25, p=0.75)
         with pytest.raises(ValueError, match="unstable"):
-            collection_prob_noncoop_finite(params, table)
+            collection_prob_noncoop_finite(params, np.ones((8, 620)))
 
     def test_nominal_conditioned_oracle_matches_eq3(self, tiny_table):
         # Average the exact per-mask oracle for user 0 over placements with
         # user 0 nominally placed; this should equal p * P^{o,r} from the
         # finite formula (sharp identity, not just the bracket).
         params = SystemParams(n=9, m=4, r=0.15, p=0.5)
-        bracket = collection_prob_noncoop_finite(params, tiny_table)
+        bracket = collection_prob_noncoop_finite(params, tiny_table.moments)
         vals = []
         bound = HALF_SIDE - 2 * params.r
         for i in range(1000):
@@ -151,7 +140,7 @@ class TestNoncoopFinite:
             user_xy[0] = rng.uniform(-bound, bound, size=2)
             station_xy = uniform_points(rng, params.m)
             inst = NetworkInstance(params, user_xy, station_xy, np.zeros(params.n, bool))
-            vals.append(brute_force_collection_probability(inst).noncooperative[0])
+            vals.append(brute_force_collection_probability(all_users_adjacency(inst), params.p).noncooperative[0])
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert abs(mean - bracket.lower) <= 3 * se + 3e-3
@@ -160,7 +149,7 @@ class TestNoncoopFinite:
         # Unrestricted placements: the bracket of the finite formula must
         # contain the position-averaged exact collection probability.
         params = SystemParams(n=10, m=5, r=0.2, p=0.8)
-        bracket = collection_prob_noncoop_finite(params, tiny_table)
+        bracket = collection_prob_noncoop_finite(params, tiny_table.moments)
         vals = []
         for i in range(600):
             rng = rng_from(9900, i)
@@ -170,7 +159,7 @@ class TestNoncoopFinite:
                 uniform_points(rng, params.m),
                 np.zeros(params.n, bool),
             )
-            vals.append(brute_force_collection_probability(inst).noncooperative.mean())
+            vals.append(brute_force_collection_probability(all_users_adjacency(inst), params.p).noncooperative.mean())
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert bracket.lower - 3 * se <= mean <= bracket.upper + 3 * se
@@ -179,12 +168,12 @@ class TestNoncoopFinite:
         # Finite formula approaches the asymptotic series as n, m grow at
         # fixed lambda, psi.
         lam, g, p = 3.0, 0.25, 0.25
-        asym = collection_prob_noncoop_asymptotic(lam, g * lam, default_table, k_max=40).value
+        asym = collection_prob_noncoop_asymptotic(lam, g * lam, default_table.first_moments[:40]).value
         for m in (60, 150):
             r = math.sqrt(lam / (m * math.pi))
             n = round(g * m / p)
             params = SystemParams(n=n, m=m, r=r, p=p)
-            bracket = collection_prob_noncoop_finite(params, default_table, k_max=40)
+            bracket = collection_prob_noncoop_finite(params, default_table.moments[:40])
             assert abs(bracket.conditional_nominal - asym) < 1e-2
 
 
@@ -197,11 +186,11 @@ class TestLowerBound:
         assert bound == pytest.approx((1 - math.exp(-3)) * math.exp(-3.0), rel=1e-12)
         assert bound == pytest.approx(0.0473, abs=1e-4)
 
-    def test_bound_below_series_on_grid(self, quad_table):
+    def test_bound_below_series_on_grid(self, quad_alphas):
         for lam in np.arange(1.0, 6.01, 0.1):
             for g in np.arange(0.0, 1.01, 0.1):
                 psi = float(g) * float(lam)
-                series = collection_prob_noncoop_asymptotic(float(lam), psi, quad_table, k_max=60)
+                series = collection_prob_noncoop_asymptotic(float(lam), psi, quad_alphas[:60])
                 if series.clamped:
                     continue
                 bound = lower_bound_noncoop(float(lam), psi, 0.5) / 0.5
@@ -209,29 +198,29 @@ class TestLowerBound:
 
 
 class TestHeuristic:
-    def test_zero_interference_reduction_is_exact(self, quad_table):
+    def test_zero_interference_reduction_is_exact(self, quad_alphas):
         for lam in (1.0, 3.0, 6.0):
-            res = heuristic_coop(lam, 0.0, quad_table, k_max=34)
+            res = heuristic_coop(lam, 0.0, quad_alphas[:34])
             assert res.state.rho1 == 0.0
             assert res.state.sigma1 == res.state.sigma2
             assert res.state.sigma2 == pytest.approx(math.exp(-lam), abs=1e-12)
             assert res.clamped == ()
 
-    def test_cooperation_never_hurts_on_grid(self, quad_table):
+    def test_cooperation_never_hurts_on_grid(self, quad_alphas):
         for lam in np.arange(1.0, 6.01, 0.5):
             for g in np.arange(0.0, 1.01, 0.1):
-                res = heuristic_coop(float(lam), float(g) * float(lam), quad_table, k_max=50)
+                res = heuristic_coop(float(lam), float(g) * float(lam), quad_alphas[:50])
                 if res.clamped:
                     continue
                 assert res.state.sigma2 <= res.state.sigma1 + 1e-12
 
-    def test_conditional_is_one_minus_sigma2(self, quad_table):
-        res = heuristic_coop(3.0, 0.5 * 3.0, quad_table, k_max=34)
+    def test_conditional_is_one_minus_sigma2(self, quad_alphas):
+        res = heuristic_coop(3.0, 0.5 * 3.0, quad_alphas[:34])
         assert res.conditional == pytest.approx(1.0 - res.state.sigma2, rel=1e-15)
 
-    def test_clamping_flags_fire_for_abusive_truncation(self, quad_table):
+    def test_clamping_flags_fire_for_abusive_truncation(self, quad_alphas):
         with pytest.warns(UserWarning):
-            res = heuristic_coop(30.0, 0.0, quad_table, k_max=6)
+            res = heuristic_coop(30.0, 0.0, quad_alphas[:6])
         assert res.clamped  # at least one stage left [0, 1]
         for v in (res.state.sigma1, res.state.rho1, res.state.sigma2):
             assert 0.0 <= v <= 1.0
@@ -271,9 +260,9 @@ class TestGBullet:
         got = g_bullet(3.0, 0.5, lambda g: math.exp(-g), g_max=1.0, step=0.01)
         assert abs(got - math.log(2.0)) <= 0.01
 
-    def test_monotone_in_eps(self, quad_table):
+    def test_monotone_in_eps(self, quad_alphas):
         def evaluator(g: float) -> float:
-            return collection_prob_noncoop_asymptotic(3.0, g * 3.0, quad_table, k_max=40).value
+            return collection_prob_noncoop_asymptotic(3.0, g * 3.0, quad_alphas[:40]).value
 
         values = [g_bullet(3.0, eps, evaluator) for eps in (0.06, 0.1, 0.2, 0.4)]
         assert values == sorted(values)

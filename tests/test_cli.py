@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DEFAULT_TABLE
 from mbaloha import cli
 from mbaloha.experiments import tabulate_moments
 from mbaloha.geometry import MomentTable, format_moment_table
@@ -127,6 +128,25 @@ class TestSweepCommand:
         assert r1.returncode == 0, r1.stderr
         assert "report" in r1.stdout
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_no_analytic_with_moment_table_is_usage_error(self, tmp_path, table_path):
+        out = tmp_path / "never.csv"
+        res = run_cli(*self.BASE, "--grid", "0.2", "--no-analytic", "--moment-table", table_path, "--out", str(out))
+        assert res.returncode == 1
+        assert "not allowed with" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "k_max, message",
+        [("0", "k_max must be positive"), ("7", "k_max=7 exceeds the table's k_max=6")],
+        ids=["not_positive", "beyond_table"],
+    )
+    def test_bad_k_max_exits_2_no_file(self, tmp_path, table_path, k_max, message):
+        out = tmp_path / "never.csv"
+        res = run_cli(*self.BASE, "--grid", "0.2", "--moment-table", table_path, "--k-max", k_max, "--out", str(out))
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert not out.exists()
 
     def test_bad_grid_is_runtime_error(self):
         res = run_cli(*self.BASE, "--grid", "0:1", "--no-analytic")
@@ -287,7 +307,8 @@ class TestOutputDigests:
     line is part of the file, so a version bump changes the digests too.
     Each output is pinned in one process and on a pool of two workers, and
     again at seed 2^32, a two-word seed: its sweep slots hash four words
-    each and its placements three."""
+    each and its placements three.  On the shipped table, a sweep pins the
+    analytic columns and an oracle run its finite-bracket line."""
 
     CASES = [
         pytest.param(
@@ -325,6 +346,17 @@ class TestOutputDigests:
              "--seed", "4294967296"],
             "404011a811914c58af9e0beae0c8698eefd4490dca250d3cdb336568ec59ee3f",
             id="tabulate_seed_2_32",
+        ),
+        pytest.param(
+            ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
+             "--seed", "11", "--moment-table", str(DEFAULT_TABLE), "--k-max", "34"],
+            "caf4c14e3e7592fa36f524f258621d060182c8a6c9867250a22bdfd5dd060840",
+            id="sweep_analytic",
+        ),
+        pytest.param(
+            ["oracle", "--n", "8", "--m", "3", "--moment-table", str(DEFAULT_TABLE)],
+            "77dc87309d160de68d9ee7ed88e1433125ceb63c672a379861c908bec94fd0e3",
+            id="oracle_bracket",
         ),
     ]
 

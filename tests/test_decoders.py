@@ -12,6 +12,7 @@ from mbaloha.decoders import (
     MASK_BLOCK,
     _peel,
     _peel_masks,
+    all_users_adjacency,
     brute_force_collection_probability,
     decode_cooperative,
     decode_noncooperative,
@@ -168,7 +169,7 @@ class TestBruteForce:
 
     def test_single_user_single_station(self):
         inst = self._colocated_instance(1, 1, [[0.1, 0.1]], [[0.1, 0.1]], p=0.3)
-        exact = brute_force_collection_probability(inst)
+        exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
         assert exact.noncooperative[0] == pytest.approx(0.3, abs=1e-15)
         assert exact.cooperative[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -177,20 +178,20 @@ class TestBruteForce:
         inst = self._colocated_instance(
             2, 1, [[0.05, 0.0], [-0.05, 0.0]], [[0.0, 0.0]], p=0.4
         )
-        exact = brute_force_collection_probability(inst)
+        exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
         assert np.allclose(exact.noncooperative, 0.4 * 0.6, atol=1e-15)
         assert np.allclose(exact.cooperative, 0.4 * 0.6, atol=1e-15)
 
     def test_p_one(self):
         inst = self._colocated_instance(2, 2, [[0.1, 0.0], [-0.1, 0.0]], [[0.1, 0.0], [-0.1, 0.0]], p=1.0)
-        exact = brute_force_collection_probability(inst)
+        exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
         assert np.allclose(exact.noncooperative, 1.0)
 
     @given(small_params.filter(lambda sp: sp.n <= 10), st.integers(0, 10_000))
     @settings(max_examples=25)
     def test_cooperative_dominates_noncooperative(self, params, seed):
         inst = generate_instance(params, rng_from(seed))
-        exact = brute_force_collection_probability(inst)
+        exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
         assert np.all(exact.cooperative >= exact.noncooperative - 1e-15)
         assert np.all(exact.noncooperative >= -1e-15)
         assert np.all(exact.cooperative <= params.p + 1e-15)
@@ -199,13 +200,13 @@ class TestBruteForce:
         params = SystemParams(n=21, m=2, r=0.1, p=0.5)
         inst = generate_instance(params, rng_from(0))
         with pytest.raises(ValueError):
-            brute_force_collection_probability(inst)
+            brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
 
     def test_mask_mc_agrees_with_enumeration(self):
         params = SystemParams(n=8, m=4, r=0.2, p=0.35)
         inst = generate_instance(params, rng_from(777))
-        exact = brute_force_collection_probability(inst)
-        mc = mask_monte_carlo(inst, n_masks=40_000, seed=11)
+        exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
+        mc = mask_monte_carlo(all_users_adjacency(inst), params.p, n_masks=40_000, seed=11)
         for est, se, truth in (
             (mc.prob_noncoop, mc.stderr_noncoop, exact.noncooperative),
             (mc.prob_coop, mc.stderr_coop, exact.cooperative),
@@ -302,7 +303,7 @@ class TestEnumerationBlocks:
         assert 2**params.n >= 4 * MASK_BLOCK
         inst = generate_instance(params, rng_from(1414))
         adj = incidence(build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool))))
-        exact = brute_force_collection_probability(inst)
+        exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
         want = noncoop_inclusion_exclusion(adj, params.p)
         # some users interfere: collected with probability strictly between 0 and p
         assert np.any((want > 0.0) & (want < params.p - 1e-9))

@@ -18,8 +18,10 @@ from mbaloha.experiments import (
 
 
 @pytest.fixture(scope="module")
-def sweep_table():
-    return tabulate_moments(k_max=6, s_max=2, placements_per_k=400, samples_per_placement=3000, seed=55)
+def sweep_alphas():
+    """First area moments of a small fresh table, k = 1..6."""
+    table = tabulate_moments(k_max=6, s_max=2, placements_per_k=400, samples_per_placement=3000, seed=55)
+    return table.first_moments
 
 
 @pytest.fixture
@@ -70,7 +72,6 @@ def small_config(**overrides):
         g_grid=(0.0, 0.2, 0.5),
         runs_per_point=60,
         seed=7,
-        k_max=6,
     )
     base.update(overrides)
     return SweepConfig(**base)
@@ -95,7 +96,7 @@ class TestSweepConfig:
             dict(g_grid=(-0.1,)),
             dict(runs_per_point=0),
             dict(seed=-1),
-            dict(k_max=0),
+            dict(p=math.nan),
             dict(lambda_target=math.nan),
             dict(g_grid=(0.1, math.nan)),
             dict(g_grid=(0.1, math.inf)),
@@ -181,17 +182,13 @@ class TestSweepLoad:
             assert "no_analytic" in row.clamp_flags
             assert not math.isnan(row.lower_bound)
 
-    def test_analytic_columns_with_table(self, sweep_table):
-        rows = sweep_load(small_config(), sweep_table)
+    def test_analytic_columns_with_table(self, sweep_alphas):
+        rows = sweep_load(small_config(), sweep_alphas)
         live = [r for r in rows if r.n > 0]
         for row in live:
             assert 0.0 <= row.analytic_prob_noncoop <= 1.0
             assert 0.0 <= row.analytic_prob_coop <= 1.0
             assert row.lower_bound <= row.analytic_prob_noncoop + 1e-9
-
-    def test_k_max_above_table_rejected(self, sweep_table):
-        with pytest.raises(ValueError, match="k_max"):
-            sweep_load(small_config(k_max=10), sweep_table)
 
     def test_paper_estimator_identity(self):
         for row in sweep_load(small_config()):
@@ -248,16 +245,16 @@ class TestCompareReport:
         assert "peak T coop" in report
         assert "single-station baseline" in report
 
-    def test_reports_deviation_with_table(self, sweep_table):
-        rows = sweep_load(small_config(), sweep_table)
+    def test_reports_deviation_with_table(self, sweep_alphas):
+        rows = sweep_load(small_config(), sweep_alphas)
         report = compare_report(rows, m=20)
         assert "max |analytic - mc| noncoop" in report
         assert "un-normalized" in report
 
-    def test_byte_identical_rerun(self, sweep_table):
+    def test_byte_identical_rerun(self, sweep_alphas):
         cfg = small_config()
-        a = compare_report(sweep_load(cfg, sweep_table), m=20)
-        b = compare_report(sweep_load(cfg, sweep_table), m=20)
+        a = compare_report(sweep_load(cfg, sweep_alphas), m=20)
+        b = compare_report(sweep_load(cfg, sweep_alphas), m=20)
         assert a == b
 
 
