@@ -2,8 +2,9 @@
 """Print the sha256 of every output of a fixed list of command lines.
 
 Runs the benchmark's command lines (``sweep`` at lambda 3 and 6, ``gbullet``
-and ``tabulate``) and an ``oracle`` line on a drawn n = 12, m = 5 instance,
-at seeds 20259, 7 and 2^32 and at one and two worker processes, each as
+and ``tabulate``), an ``oracle`` line on a drawn n = 12, m = 5 instance and
+a ``tabulate`` line with 50 disks and two sample blocks per placement, at
+seeds 20259, 7 and 2^32 and at one and two worker processes, each as
 ``python -m mbaloha`` from the checkout's ``src/`` in a fresh temporary
 directory.  Every command prints one line per output:
 the sha256 of each output file, of stdout and of stderr, and the exit code.
@@ -63,6 +64,11 @@ COMMANDS = [
         "tabulate_k34",
         ["tabulate", "--k-max", "34", "--s-max", "1", "--placements", "8", "--samples", "2000"],
         "tabulate_k34.txt",
+    ),
+    (
+        "tabulate_k50",
+        ["tabulate", "--k-max", "50", "--s-max", "3", "--placements", "3", "--samples", "70000"],
+        "tabulate_k50.txt",
     ),
 ]
 

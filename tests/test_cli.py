@@ -307,7 +307,8 @@ class TestOutputDigests:
     line is part of the file, so a version bump changes the digests too.
     Each output is pinned in one process and on a pool of two workers, and
     again at seed 2^32, a two-word seed: its sweep slots hash four words
-    each and its placements three.  On the shipped table, a sweep pins the
+    each and its placements three.  A 50-disk tabulate line spans two
+    sample blocks per placement.  On the shipped table, a sweep pins the
     analytic columns and an oracle run its finite-bracket line."""
 
     CASES = [
@@ -346,6 +347,12 @@ class TestOutputDigests:
              "--seed", "4294967296"],
             "404011a811914c58af9e0beae0c8698eefd4490dca250d3cdb336568ec59ee3f",
             id="tabulate_seed_2_32",
+        ),
+        pytest.param(
+            ["tabulate", "--k-max", "50", "--s-max", "3", "--placements", "3", "--samples", "70000",
+             "--seed", "9"],
+            "77468d000db94016e1123841f6d4b414ec622e9c50d83b531a4328e4c72867f1",
+            id="tabulate_k50_two_blocks",
         ),
         pytest.param(
             ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",

@@ -177,8 +177,16 @@ class TestDiskUnionArea:
             (np.array([(0.0, 0.0), (0.6, -0.3), (-0.2, 0.9)]), 4000),
             (np.array([(0.4, 0.1), (-0.5, 0.5), (0.4, 0.1), (-0.5, 0.5), (0.0, -0.7)]), 4000),
             (sample_unit_disk(rng_from(11), 6), 150_000),
+            *(
+                (sample_unit_disk(rng_from(13, k), k), n)
+                for k in (1, 50)
+                for n in (1, 2, 1 << 16, (1 << 16) + 1)
+            ),
         ],
-        ids=["k1", "k2", "k6", "k34", "k50", "origin", "duplicates", "three_blocks"],
+        ids=[
+            "k1", "k2", "k6", "k34", "k50", "origin", "duplicates", "three_blocks",
+            *(f"k{k}_n{n}" for k in (1, 50) for n in ("1", "2", "2^16", "2^16+1")),
+        ],
     )
     def test_bit_identical_to_reference_kernel(self, centers, n):
         est = disk_union_area(centers, n, rng_from(12))
