@@ -33,28 +33,27 @@ class SeriesValue:
 
     value: float
     clamped: bool
-    raw: float
 
 
 @dataclass(frozen=True)
-class HeuristicState:
-    """Two-iteration peeling heuristic state.
+class HeuristicResult:
+    """Two-iteration peeling heuristic.
 
     sigma1: P(user uncollected after round 1 | active); rho1: P(a station
     still hears undecoded interferers after round 1); sigma2: P(user
-    uncollected after round 2 | active).
+    uncollected after round 2 | active).  ``clamped`` names the stages that
+    were clamped to [0, 1].
     """
 
     sigma1: float
     rho1: float
     sigma2: float
-
-
-@dataclass(frozen=True)
-class HeuristicResult:
-    state: HeuristicState
-    conditional: float
     clamped: tuple[str, ...]
+
+    @property
+    def conditional(self) -> float:
+        """P(collected | active) after two rounds."""
+        return 1.0 - self.sigma2
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class FiniteBracket:
 
     lower: float
     upper: float
-    conditional_nominal: float
 
 
 def _clamp01(raw: float) -> tuple[float, bool]:
@@ -122,8 +120,7 @@ def collection_prob_noncoop_asymptotic(lam: float, psi: float, alphas: np.ndarra
     """
     _check_truncation(lam, len(alphas))
     raw = _poisson_sum(lam, np.exp(-alphas * psi))
-    value, clamped = _clamp01(raw)
-    return SeriesValue(value, clamped, raw)
+    return SeriesValue(*_clamp01(raw))
 
 
 def collection_prob_noncoop_finite(params: SystemParams, moments: np.ndarray) -> FiniteBracket:
@@ -174,11 +171,7 @@ def collection_prob_noncoop_finite(params: SystemParams, moments: np.ndarray) ->
             )
     conditional = _alternating_sum(zetas, integrals)
     width = 8.0 * r - 16.0 * r * r
-    return FiniteBracket(
-        lower=p * conditional,
-        upper=p * (conditional + width),
-        conditional_nominal=conditional,
-    )
+    return FiniteBracket(lower=p * conditional, upper=p * (conditional + width))
 
 
 def lower_bound_noncoop(lam: float, psi: float, p: float) -> float:
@@ -207,8 +200,7 @@ def heuristic_coop(lam: float, psi: float, alphas: np.ndarray) -> HeuristicResul
     sigma1 = stage("sigma1", 1.0 - _poisson_sum(lam, np.exp(-alphas * psi)))
     rho1 = stage("rho1", _poisson_sum(psi, sigma1**alphas))
     sigma2 = stage("sigma2", 1.0 - _poisson_sum(lam, (1.0 - rho1) ** alphas))
-    state = HeuristicState(sigma1=sigma1, rho1=rho1, sigma2=sigma2)
-    return HeuristicResult(state=state, conditional=1.0 - sigma2, clamped=tuple(flags))
+    return HeuristicResult(sigma1, rho1, sigma2, tuple(flags))
 
 
 def _moving_average3(vals: np.ndarray) -> np.ndarray:

@@ -91,6 +91,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid range must be start:stop:step, got {spec!r}")
         start, stop, step = (float(v) for v in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid start, stop and step must be finite, got {spec!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 0.5)) + 1

@@ -37,10 +37,6 @@ class DecodingResult:
     iterations_run: int
     per_iteration_collected: list[int]
 
-    @property
-    def collected_count(self) -> int:
-        return int(self.collected.sum())
-
 
 def _peel(
     station: np.ndarray, column: np.ndarray, n_stations: int, n_columns: int, max_rounds: int | None = None

@@ -14,8 +14,6 @@ active) divides total collected by total active across runs, with a
 linearized ratio standard error, for every grid point and both decoders at
 once; both are 0 where no user was active.  The max-load metric smooths
 these probabilities over the grid points with users and thresholds them.
-The classic per-run estimator (collected / n / p, averaged) is exposed as
-``paper_prob_*`` and equals mc_T / G_realized exactly.
 """
 
 from __future__ import annotations
@@ -106,15 +104,6 @@ class SweepRow:
     analytic_prob_coop: float
     lower_bound: float
     clamp_flags: str
-
-    @property
-    def paper_prob_noncoop(self) -> float:
-        """Per-run estimator collected/(n p), identical to T / G."""
-        return self.mc_T_noncoop / self.G_realized if self.G_realized > 0 else 0.0
-
-    @property
-    def paper_prob_coop(self) -> float:
-        return self.mc_T_coop / self.G_realized if self.G_realized > 0 else 0.0
 
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
@@ -303,6 +292,9 @@ def estimate_gbullet(
     """
     if not lambda_grid or not eps_list:
         raise ValueError("lambda grid and eps list must be nonempty")
+    for eps in eps_list:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
     subs = []
     for lam in lambda_grid:
         lam_bits = int(np.float64(lam).view(np.uint64))

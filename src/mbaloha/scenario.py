@@ -52,21 +52,6 @@ class SystemParams:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
 
-    @property
-    def load_g(self) -> float:
-        """Normalized load G = n p / m."""
-        return self.n * self.p / self.m
-
-    @property
-    def lam(self) -> float:
-        """Mean number of stations adjacent to a nominally placed user."""
-        return self.m * self.r * self.r * math.pi
-
-    @property
-    def psi(self) -> float:
-        """Mean number of active users adjacent to a nominally placed station."""
-        return self.n * self.p * self.r * self.r * math.pi
-
 
 @dataclass(frozen=True)
 class NetworkInstance:
@@ -88,10 +73,6 @@ class NetworkInstance:
             raise ValueError("position arrays do not match params")
         if self.active.shape != (n,) or self.active.dtype != np.bool_:
             raise ValueError("active must be a boolean mask of length n")
-
-    @property
-    def active_count(self) -> int:
-        return int(self.active.sum())
 
 
 @dataclass(frozen=True)

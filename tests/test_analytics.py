@@ -103,7 +103,9 @@ class TestNoncoopAsymptotic:
             result = collection_prob_noncoop_asymptotic(30.0, 0.0, quad_alphas[:6])
         assert result.clamped
         assert 0.0 <= result.value <= 1.0
-        assert result.raw != result.value
+        # At psi = 0 each factor is 1, so the unclamped sum has the bare Poisson weights.
+        raw = math.fsum((-1) ** (k - 1) * 30.0**k / math.factorial(k) for k in range(1, 7))
+        assert raw != result.value
 
 
 class TestNoncoopFinite:
@@ -174,7 +176,7 @@ class TestNoncoopFinite:
             n = round(g * m / p)
             params = SystemParams(n=n, m=m, r=r, p=p)
             bracket = collection_prob_noncoop_finite(params, default_table.moments[:40])
-            assert abs(bracket.conditional_nominal - asym) < 1e-2
+            assert abs(bracket.lower / p - asym) < 1e-2
 
 
 class TestLowerBound:
@@ -201,9 +203,9 @@ class TestHeuristic:
     def test_zero_interference_reduction_is_exact(self, quad_alphas):
         for lam in (1.0, 3.0, 6.0):
             res = heuristic_coop(lam, 0.0, quad_alphas[:34])
-            assert res.state.rho1 == 0.0
-            assert res.state.sigma1 == res.state.sigma2
-            assert res.state.sigma2 == pytest.approx(math.exp(-lam), abs=1e-12)
+            assert res.rho1 == 0.0
+            assert res.sigma1 == res.sigma2
+            assert res.sigma2 == pytest.approx(math.exp(-lam), abs=1e-12)
             assert res.clamped == ()
 
     def test_cooperation_never_hurts_on_grid(self, quad_alphas):
@@ -212,17 +214,17 @@ class TestHeuristic:
                 res = heuristic_coop(float(lam), float(g) * float(lam), quad_alphas[:50])
                 if res.clamped:
                     continue
-                assert res.state.sigma2 <= res.state.sigma1 + 1e-12
+                assert res.sigma2 <= res.sigma1 + 1e-12
 
     def test_conditional_is_one_minus_sigma2(self, quad_alphas):
         res = heuristic_coop(3.0, 0.5 * 3.0, quad_alphas[:34])
-        assert res.conditional == pytest.approx(1.0 - res.state.sigma2, rel=1e-15)
+        assert res.conditional == pytest.approx(1.0 - res.sigma2, rel=1e-15)
 
     def test_clamping_flags_fire_for_abusive_truncation(self, quad_alphas):
         with pytest.warns(UserWarning):
             res = heuristic_coop(30.0, 0.0, quad_alphas[:6])
         assert res.clamped  # at least one stage left [0, 1]
-        for v in (res.state.sigma1, res.state.rho1, res.state.sigma2):
+        for v in (res.sigma1, res.rho1, res.sigma2):
             assert 0.0 <= v <= 1.0
 
 

@@ -19,8 +19,8 @@ from mbaloha.experiments import (
 
 @pytest.fixture(scope="module")
 def sweep_alphas():
-    """First area moments of a small fresh table, k = 1..6."""
-    table = tabulate_moments(k_max=6, s_max=2, placements_per_k=400, samples_per_placement=3000, seed=55)
+    """First area moments of a small fresh table, k = 1..8."""
+    table = tabulate_moments(k_max=8, s_max=2, placements_per_k=400, samples_per_placement=3000, seed=55)
     return table.first_moments
 
 
@@ -190,15 +190,6 @@ class TestSweepLoad:
             assert 0.0 <= row.analytic_prob_coop <= 1.0
             assert row.lower_bound <= row.analytic_prob_noncoop + 1e-9
 
-    def test_paper_estimator_identity(self):
-        for row in sweep_load(small_config()):
-            if row.n:
-                assert row.paper_prob_noncoop == pytest.approx(
-                    row.mc_T_noncoop / row.G_realized, rel=1e-15
-                )
-            else:
-                assert row.paper_prob_noncoop == 0.0
-
     def test_stderr_shrinks_like_sqrt_runs(self):
         cfg_small = small_config(g_grid=(0.5,), runs_per_point=250, seed=21)
         cfg_big = small_config(g_grid=(0.5,), runs_per_point=1000, seed=21)
@@ -321,6 +312,12 @@ class TestEstimateGbullet:
             estimate_gbullet(cfg, (), (0.1,))
         with pytest.raises(ValueError):
             estimate_gbullet(cfg, (2.0,), ())
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, math.nan])
+    def test_bad_eps_rejected_before_simulation(self, recording_simulate, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            estimate_gbullet(small_config(), (2.0,), (0.1, eps))
+        assert recording_simulate == []
 
     def test_eps_monotonicity_per_lambda(self):
         cfg = small_config(g_grid=tuple(round(0.05 * i, 10) for i in range(13)), runs_per_point=80)

@@ -52,17 +52,6 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
-    def test_derived_loads(self):
-        params = SystemParams(n=400, m=100, r=0.0977, p=0.25)
-        assert params.load_g == pytest.approx(1.0)
-        assert params.lam == pytest.approx(100 * 0.0977**2 * math.pi)
-        assert params.psi == pytest.approx(params.load_g * params.lam, rel=1e-12)
-
-    def test_psi_is_load_times_lambda(self):
-        # The analytic formulas take psi as G * lambda.
-        params = SystemParams(n=240, m=100, r=0.09772, p=0.25)
-        assert params.psi == pytest.approx(params.load_g * params.lam, rel=1e-12)
-
 
 class TestGenerateInstance:
     def test_p_one_all_active(self):
@@ -90,7 +79,7 @@ class TestGenerateInstance:
     def test_activation_rate_binomial(self):
         params = SystemParams(n=1000, m=1, r=0.1, p=0.25)
         counts = [
-            generate_instance(params, rng_from(100, i)).active_count for i in range(1000)
+            int(generate_instance(params, rng_from(100, i)).active.sum()) for i in range(1000)
         ]
         # mean of binomial(1000, 0.25) within 3 standard errors of the mean
         se_mean = math.sqrt(1000 * 0.25 * 0.75) / math.sqrt(len(counts))
@@ -165,7 +154,7 @@ def all_pairs_incidence(instances) -> np.ndarray:
                 for xy in inst.station_xy
             ],
             dtype=bool,
-        ).reshape(inst.params.m, inst.active_count)
+        ).reshape(inst.params.m, int(inst.active.sum()))
         for inst in instances
     ]
     dense = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=bool)
@@ -321,7 +310,7 @@ class TestCoverage:
 class TestEmpiricalDegrees:
     def test_mean_user_degree_matches_lambda(self):
         params = SystemParams(n=60, m=120, r=0.08, p=0.5)
-        lam = params.lam
+        lam = params.m * params.r**2 * math.pi
         degrees = []
         for i in range(400):
             inst = generate_instance(params, rng_from(2000, i))
@@ -365,7 +354,7 @@ class TestEmpiricalDegrees:
     def test_activation_rate_converges(self):
         params = SystemParams(n=500, m=1, r=0.1, p=0.37)
         rates = [
-            generate_instance(params, rng_from(4000, i)).active_count / params.n
+            int(generate_instance(params, rng_from(4000, i)).active.sum()) / params.n
             for i in range(200)
         ]
         assert abs(np.mean(rates) - params.p) < 0.01
