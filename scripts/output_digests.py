@@ -2,14 +2,16 @@
 """Print the sha256 of every output of a fixed list of command lines.
 
 Runs the benchmark's command lines (``sweep`` at lambda 3 and 6, ``gbullet``
-and ``tabulate``), an ``oracle`` line on a drawn n = 12, m = 5 instance and
-a ``tabulate`` line with 50 disks and two sample blocks per placement, at
-seeds 20259, 7 and 2^32 and at one and two worker processes, each as
-``python -m mbaloha`` from the checkout's ``src/`` in a fresh temporary
-directory.  Every command prints one line per output:
-the sha256 of each output file, of stdout and of stderr, and the exit code.
-Run it once on each of two checkouts and ``diff`` the two listings to see
-whether a change kept the command line's outputs byte-identical:
+and ``tabulate``), two ``gbullet`` lines at the max-load edge cases (a lambda
+whose coverage 1 - e^-lambda is below 1 - eps for one eps, and a grid with
+only one point that has users), an ``oracle`` line on a drawn n = 12, m = 5
+instance and a ``tabulate`` line with 50 disks and two sample blocks per
+placement, at seeds 20259, 7 and 2^32 and at one and two worker processes,
+each as ``python -m mbaloha`` from the checkout's ``src/`` in a fresh
+temporary directory.  Every command prints one line per output: the sha256
+of each output file, of stdout and of stderr, and the exit code.  Run it
+once on each of two checkouts and ``diff`` the two listings to see whether a
+change kept the command line's outputs byte-identical:
 
     python scripts/output_digests.py > change.txt
     python scripts/output_digests.py --checkout ../parent > parent.txt
@@ -49,6 +51,18 @@ COMMANDS = [
          "--grid", ",".join(f"{g:g}" for g in GBULLET_GRID),
          "--runs", "8"],
         "gbullet.csv",
+    ),
+    (
+        "gbullet_cutoff",
+        ["gbullet", "--m", "100", "--p", "0.25", "--lambdas", "1.5,4", "--eps", "0.15,0.3",
+         "--grid", "0:0.8:0.02", "--runs", "20"],
+        "gbullet_cutoff.csv",
+    ),
+    (
+        "gbullet_one_point",
+        ["gbullet", "--m", "100", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
+         "--grid", "0,0.3", "--runs", "20"],
+        "gbullet_one_point.csv",
     ),
     (
         "oracle",

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .scenario import SystemParams, coverage_probability
+from .scenario import SystemParams
 
 #: Truncation is unreliable once lambda approaches k_max; see the warning below.
 TRUNCATION_SAFE_FACTOR = 0.25
@@ -201,40 +200,3 @@ def heuristic_coop(lam: float, psi: float, alphas: np.ndarray) -> HeuristicResul
     rho1 = stage("rho1", _poisson_sum(psi, sigma1**alphas))
     sigma2 = stage("sigma2", 1.0 - _poisson_sum(lam, (1.0 - rho1) ** alphas))
     return HeuristicResult(sigma1, rho1, sigma2, tuple(flags))
-
-
-def _moving_average3(vals: np.ndarray) -> np.ndarray:
-    """Centered moving average over windows of 3 points, 2 at the ends.
-
-    Each window's sum is added left to right, as ``.mean()`` adds it, and
-    divided by the window's length, so point i is bit for bit
-    ``vals[max(0, i - 1) : i + 2].mean()``.
-    """
-    if vals.size < 2:
-        return vals
-    pairs = vals[:-1] + vals[1:]
-    sums = np.concatenate([pairs[:1], pairs[:-1] + vals[2:], pairs[-1:]])
-    counts = np.full(vals.size, 3.0)
-    counts[[0, -1]] = 2.0
-    return sums / counts
-
-
-def g_bullet_from_values(lam: float, eps: float, g_grid: Sequence[float], values: Sequence[float]) -> float:
-    """Largest grid load whose probability stays >= 1-eps.
-
-    Returns 0 when even full coverage cannot reach 1-eps, or when no grid
-    point qualifies.  The values are thresholded as given; noisy Monte Carlo
-    values are smoothed first (``_moving_average3``).
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    grid = np.asarray(g_grid, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty load grid")
-    if grid.shape != vals.shape:
-        raise ValueError("grid and values must have matching shapes")
-    if 1.0 - eps > coverage_probability(lam):
-        return 0.0
-    qualifying = grid[vals >= 1.0 - eps]
-    return float(qualifying.max()) if qualifying.size else 0.0

@@ -70,6 +70,10 @@ def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mbaloha-")
     try:
+        # mkstemp creates the file 0600; give it the mode a plain open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -261,21 +265,17 @@ def _cmd_oracle(args) -> int:
         manifest.moment_table_checksum = _checksum(args.moment_table)
     lines = [f"# {manifest.render()}"]
     lines.append("user,oracle_noncoop,mc_noncoop,z_noncoop,oracle_coop,mc_coop,z_coop,verdict")
-    worst = 0.0
-    for i in range(params.n):
-        zs = []
-        for exact_v, mc_v, se in (
-            (exact.noncooperative[i], mc.prob_noncoop[i], mc.stderr_noncoop[i]),
-            (exact.cooperative[i], mc.prob_coop[i], mc.stderr_coop[i]),
-        ):
-            zs.append((mc_v - exact_v) / se if se > 0 else 0.0)
-        worst = max(worst, abs(zs[0]), abs(zs[1]))
-        verdict = "pass" if max(abs(z) for z in zs) <= 3.0 else "FAIL"
-        lines.append(
-            f"{i},{exact.noncooperative[i]:.6g},{mc.prob_noncoop[i]:.6g},{zs[0]:.3g},"
-            f"{exact.cooperative[i]:.6g},{mc.prob_coop[i]:.6g},{zs[1]:.3g},{verdict}"
-        )
-    lines.append(f"# max |z| = {worst:.3g} over {params.n} users, {args.masks} masks, 3-sigma check")
+    # One row per user, one column per decoder (non-cooperative, cooperative).
+    oracle = np.stack([exact.noncooperative, exact.cooperative], axis=1)
+    est = np.stack([mc.prob_noncoop, mc.prob_coop], axis=1)
+    se = np.stack([mc.stderr_noncoop, mc.stderr_coop], axis=1)
+    z = np.divide(est - oracle, se, out=np.zeros_like(se), where=se > 0)
+    worst = np.abs(z).max(axis=1)
+    rows = zip(oracle.tolist(), est.tolist(), z.tolist(), worst.tolist())
+    for i, ((o_nc, o_coop), (e_nc, e_coop), (z_nc, z_coop), w) in enumerate(rows):
+        verdict = "pass" if w <= 3.0 else "FAIL"
+        lines.append(f"{i},{o_nc:.6g},{e_nc:.6g},{z_nc:.3g},{o_coop:.6g},{e_coop:.6g},{z_coop:.3g},{verdict}")
+    lines.append(f"# max |z| = {worst.max():.3g} over {params.n} users, {args.masks} masks, 3-sigma check")
     superset = bool(np.all(exact.cooperative >= exact.noncooperative - 1e-15))
     lines.append(f"# cooperative >= non-cooperative per user: {'pass' if superset else 'FAIL'}")
     if args.moment_table is not None:

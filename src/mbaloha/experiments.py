@@ -13,7 +13,8 @@ post-pass over the per-run counts: the pooled estimator of P(collected |
 active) divides total collected by total active across runs, with a
 linearized ratio standard error, for every grid point and both decoders at
 once; both are 0 where no user was active.  The max-load metric smooths
-these probabilities over the grid points with users and thresholds them.
+these probabilities over the grid points with users and thresholds them for
+every eps and both decoders at once.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytics import (
-    _moving_average3,
-    collection_prob_noncoop_asymptotic,
-    g_bullet_from_values,
-    heuristic_coop,
-    lower_bound_noncoop,
-)
+from .analytics import collection_prob_noncoop_asymptotic, heuristic_coop, lower_bound_noncoop
 from .decoders import decode_cooperative, decode_noncooperative
 from .geometry import MomentTable, placement_alphas, substreams
 from .scenario import SystemParams, build_adjacency, generate_instance
@@ -275,6 +270,37 @@ def sweep_load(
     return rows
 
 
+def _moving_average3(probs: np.ndarray) -> np.ndarray:
+    """Centered moving average down the points of (points, decoders) probabilities.
+
+    Windows hold 3 points, 2 at the ends.  Each window's sum is added top to
+    bottom, as ``.mean()`` adds it, and divided by the window's length, so
+    row i is bit for bit ``probs[max(0, i - 1) : i + 2].mean(axis=0)``.
+    """
+    if len(probs) < 2:
+        return probs
+    pairs = probs[:-1] + probs[1:]
+    sums = np.concatenate([pairs[:1], pairs[:-1] + probs[2:], pairs[-1:]])
+    counts = np.full((len(probs), 1), 3.0)
+    counts[[0, -1]] = 2.0
+    return sums / counts
+
+
+def _max_loads(lam: float, eps: np.ndarray, grid: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Largest grid load whose probability is at least 1 - eps, for every eps and decoder.
+
+    ``grid`` holds the (nonnegative) loads of the points and ``probs`` their
+    (points, decoders) probabilities.  Returns an (eps, decoders) array that
+    is 0 where no load qualifies, where the grid is empty, or where 1 - eps
+    exceeds the coverage 1 - e^-lambda, the chance that some station hears a
+    user.
+    """
+    need = 1.0 - eps[:, None, None]
+    loads = np.where(probs >= need, grid[:, None], 0.0).max(axis=1, initial=0.0)
+    loads[need[:, 0, 0] > -math.expm1(-lam)] = 0.0
+    return loads
+
+
 def estimate_gbullet(
     config: SweepConfig,
     lambda_grid: tuple[float, ...],
@@ -286,9 +312,10 @@ def estimate_gbullet(
     Each lambda cell derives its sweep seed from the float bits of lambda, so
     rerunning any subset of the grid reproduces the full run's cells.  The
     sweeps of all lambdas run as one Monte Carlo pass.  Over the grid points
-    with users, each decoder's pooled probabilities are smoothed (window 3)
-    before thresholding, per the max-load policy; with no such point every
-    cell is 0.
+    with users, each decoder's pooled probabilities are smoothed (window 3,
+    ``_moving_average3``) and thresholded (``_max_loads``) for every eps at
+    once; with no such point every cell is 0.  The lambda and eps lists must
+    be nonempty and every eps in (0, 1), checked before any simulation.
     """
     if not lambda_grid or not eps_list:
         raise ValueError("lambda grid and eps list must be nonempty")
@@ -305,11 +332,9 @@ def estimate_gbullet(
     cells: list[GBulletCell] = []
     for lam, sub, (users, counts) in zip(lambda_grid, subs, _simulate(subs, workers)):
         live = users > 0
-        grid = users[live] * sub.p / sub.m
-        smoothed = [_moving_average3(vals) for vals in _pooled(counts[live])[0].T]
-        for eps in eps_list:
-            g_nc, g_coop = (g_bullet_from_values(lam, eps, grid, vals) if grid.size else 0.0 for vals in smoothed)
-            cells.append(GBulletCell(lam=lam, eps=eps, gbullet_noncoop=g_nc, gbullet_coop=g_coop))
+        smoothed = _moving_average3(_pooled(counts[live])[0])
+        loads = _max_loads(lam, np.array(eps_list), users[live] * sub.p / sub.m, smoothed)
+        cells += [GBulletCell(lam, eps, g_nc, g_coop) for eps, (g_nc, g_coop) in zip(eps_list, loads.tolist())]
     return cells
 
 

@@ -7,13 +7,10 @@ list: per edge, the station and the column of the active user it hears.
 ``build_adjacency`` builds the graph of a block of slots in one pass, as
 their disjoint union, so that many slots are decoded in one kernel call; it
 finds each user's stations in a window of the stations sorted by x.
-``coverage_probability`` gives the asymptotic chance that some station hears
-a user.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,13 +179,6 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     return BipartiteGraph(sum(n_stations), sum(n_users), users, np.concatenate(stations), np.concatenate(columns))
 
 
-def coverage_probability(lam: float) -> float:
-    """Asymptotic probability that a user is heard by at least one station."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    return -math.expm1(-lam)
-
-
 def dump_instance(instance: NetworkInstance) -> str:
     """Plain-text fixture format: params header, user rows, station rows."""
     p = instance.params
@@ -214,11 +204,15 @@ def parse_instance(text: str) -> NetworkInstance:
     body = lines[4:]
     if len(body) != params.n + params.m:
         raise ValueError("instance row count does not match header")
-    users = body[: params.n]
-    user_xy = np.array([[float(v) for v in ln.split()[:2]] for ln in users])
-    active = np.array([bool(int(ln.split()[2])) for ln in users])
-    station_xy = np.array([[float(v) for v in ln.split()] for ln in body[params.n :]])
-    station_xy = station_xy.reshape(params.m, 2)
+    users = [ln.split() for ln in body[: params.n]]
+    stations = [ln.split() for ln in body[params.n :]]
+    if any(len(row) != 3 or row[2] not in ("0", "1") for row in users):
+        raise ValueError("each user row must be 'x y flag' with flag 0 or 1")
+    if any(len(row) != 2 for row in stations):
+        raise ValueError("each station row must be 'x y'")
+    user_xy = np.array([[float(v) for v in row[:2]] for row in users])
+    active = np.array([row[2] == "1" for row in users])
+    station_xy = np.array([[float(v) for v in row] for row in stations])
     for arr in (user_xy, station_xy):
         # Written so that NaN fails too.
         if not np.all(np.abs(arr) <= HALF_SIDE):

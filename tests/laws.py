@@ -1,17 +1,17 @@
 """Degree laws, closed forms and small wrappers that only the tests use: the
 finite (binomial) and asymptotic (Poisson) degree laws of a nominally placed
 user or station, the masks of nominally placed nodes, the coverage threshold
-lambda_min, the single-station baseline, the normalized throughput, a
-grid-scan form of G•, the per-point window-3 moving average that G•
-smoothing is checked against, and the per-point pooled ratio that the
-sweep's Monte Carlo columns are checked against."""
+lambda_min, the single-station baseline, the normalized throughput, the
+scalar G• threshold and its grid-scan form, which the array threshold of the
+max-load metric is checked against, the per-point window-3 moving average
+that G• smoothing is checked against, and the per-point pooled ratio that
+the sweep's Monte Carlo columns are checked against."""
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from mbaloha.analytics import g_bullet_from_values
 from mbaloha.geometry import HALF_SIDE
 from mbaloha.scenario import NetworkInstance
 
@@ -90,6 +90,26 @@ def throughput(load_g: float, conditional_prob: float) -> float:
     if load_g < 0 or conditional_prob < 0:
         raise ValueError("inputs must be nonnegative")
     return load_g * conditional_prob
+
+
+def g_bullet_from_values(lam: float, eps: float, g_grid: Sequence[float], values: Sequence[float]) -> float:
+    """Largest grid load whose probability stays >= 1-eps, one (lambda, eps) at a time.
+
+    Returns 0 when even full coverage 1 - e^-lambda cannot reach 1-eps, or
+    when no grid point qualifies.  The values are thresholded as given.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    grid = np.asarray(g_grid, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if grid.size == 0:
+        raise ValueError("empty load grid")
+    if grid.shape != vals.shape:
+        raise ValueError("grid and values must have matching shapes")
+    if 1.0 - eps > -math.expm1(-lam):
+        return 0.0
+    qualifying = grid[vals >= 1.0 - eps]
+    return float(qualifying.max()) if qualifying.size else 0.0
 
 
 def g_bullet(

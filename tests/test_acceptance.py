@@ -16,12 +16,7 @@ import pytest
 
 from conftest import DEFAULT_TABLE, first_moment_stderr, rng_from, workers
 from laws import lambda_min, single_station
-from mbaloha.analytics import (
-    collection_prob_noncoop_asymptotic,
-    g_bullet_from_values,
-    heuristic_coop,
-    lower_bound_noncoop,
-)
+from mbaloha.analytics import collection_prob_noncoop_asymptotic, heuristic_coop, lower_bound_noncoop
 from mbaloha.cli import DEFAULT_SEED
 from mbaloha.decoders import (
     all_users_adjacency,
@@ -32,7 +27,7 @@ from mbaloha.decoders import (
 )
 from mbaloha.experiments import SweepConfig, estimate_gbullet, sweep_load, tabulate_moments
 from mbaloha.geometry import MomentTable
-from mbaloha.scenario import SystemParams, coverage_probability, generate_instance
+from mbaloha.scenario import SystemParams, generate_instance
 from test_analytics import quadrature_mean_alpha
 from topologies import ten_user_showcase
 
@@ -79,7 +74,7 @@ def sweep_lam6(shipped_table):
 
 
 def test_criterion_1_coverage_constants():
-    cov = coverage_probability(3.0)
+    cov = -math.expm1(-3.0)
     lmin = lambda_min(0.05)
     ok = abs(cov - 0.9502) <= 1e-4 and abs(lmin - 2.996) <= 1e-3
     _report(1, ok, f"coverage(3)={cov:.6f}, lambda_min(0.05)={lmin:.4f}")
@@ -309,7 +304,7 @@ def test_criterion_9_gbullet_ratio():
         per_eps = [c for c in cells if c.eps == eps]
         # zero whenever coverage cannot reach 1 - eps
         for c in per_eps:
-            if coverage_probability(c.lam) < 1.0 - eps:
+            if -math.expm1(-c.lam) < 1.0 - eps:
                 if c.gbullet_noncoop != 0.0 or c.gbullet_coop != 0.0:
                     ok = False
                     details.append(f"eps={eps}: lam={c.lam} should be zero by convention")

@@ -5,19 +5,18 @@ import pytest
 from scipy import integrate, optimize
 
 from conftest import first_moment_stderr, rng_from
-from laws import g_bullet, moving_average3_reference, single_station, throughput
+from laws import g_bullet, g_bullet_from_values, moving_average3_reference, single_station, throughput
 from mbaloha.analytics import (
-    _moving_average3,
     collection_prob_noncoop_asymptotic,
     collection_prob_noncoop_finite,
-    g_bullet_from_values,
     heuristic_coop,
     lower_bound_noncoop,
     zeta,
 )
 from mbaloha.decoders import all_users_adjacency, brute_force_collection_probability
+from mbaloha.experiments import _max_loads, _moving_average3
 from mbaloha.geometry import HALF_SIDE
-from mbaloha.scenario import NetworkInstance, SystemParams, coverage_probability
+from mbaloha.scenario import NetworkInstance, SystemParams
 from points import uniform_points
 
 
@@ -79,14 +78,14 @@ class TestZeta:
 class TestNoncoopAsymptotic:
     def test_zero_interference_reduces_to_coverage(self, quad_alphas):
         value = collection_prob_noncoop_asymptotic(3.0, 0.0, quad_alphas[:34]).value
-        assert value == pytest.approx(coverage_probability(3.0), abs=1e-6)
+        assert value == pytest.approx(-math.expm1(-3.0), abs=1e-6)
         assert value == pytest.approx(0.9502, abs=1e-4)
 
     def test_coverage_limit_across_lambdas(self, quad_alphas):
         for lam in (1.0, 2.0, 4.0, 6.0):
             k_max = max(20, math.ceil(10 * lam))
             value = collection_prob_noncoop_asymptotic(lam, 0.0, quad_alphas[:k_max]).value
-            assert value == pytest.approx(coverage_probability(lam), abs=1e-6)
+            assert value == pytest.approx(-math.expm1(-lam), abs=1e-6)
 
     def test_lambda_zero_gives_zero(self, quad_alphas):
         assert collection_prob_noncoop_asymptotic(0.0, 0.0, quad_alphas).value == 0.0
@@ -255,52 +254,76 @@ class TestThroughput:
 class TestGBullet:
     def test_coverage_convention(self):
         # coverage(2) = 0.8647 < 0.95 -> metric is zero regardless of values
-        value = g_bullet_from_values(2.0, 0.05, [0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
-        assert value == 0.0
+        loads = _max_loads(2.0, np.array([0.05]), np.array([0.0, 0.5, 1.0]), np.ones((3, 2)))
+        assert loads.tolist() == [[0.0, 0.0]]
+
+    def test_coverage_cutoff_at_lambda_3(self):
+        # coverage(3) = 1 - e^-3 = 0.950213: 1 - eps = 0.9502 passes, 0.9503 does not.
+        grid = np.array([0.1, 0.2])
+        loads = _max_loads(3.0, np.array([0.0497, 0.0498]), grid, np.ones((2, 2)))
+        assert loads.tolist() == [[0.0, 0.0], [0.2, 0.2]]
+        # coverage(0) = 0 reaches no 1 - eps.
+        assert _max_loads(0.0, np.array([0.999]), grid, np.ones((2, 2))).tolist() == [[0.0, 0.0]]
 
     def test_exponential_evaluator_threshold(self):
         got = g_bullet(3.0, 0.5, lambda g: math.exp(-g), g_max=1.0, step=0.01)
         assert abs(got - math.log(2.0)) <= 0.01
 
     def test_monotone_in_eps(self, quad_alphas):
-        def evaluator(g: float) -> float:
-            return collection_prob_noncoop_asymptotic(3.0, g * 3.0, quad_alphas[:40]).value
-
-        values = [g_bullet(3.0, eps, evaluator) for eps in (0.06, 0.1, 0.2, 0.4)]
-        assert values == sorted(values)
+        grid = np.arange(0.0, 1.005, 0.01)
+        values = [collection_prob_noncoop_asymptotic(3.0, g * 3.0, quad_alphas[:40]).value for g in grid]
+        loads = _max_loads(3.0, np.array([0.06, 0.1, 0.2, 0.4]), grid, np.array(values)[:, None])
+        assert loads[:, 0].tolist() == sorted(loads[:, 0].tolist())
 
     def test_no_qualifying_point_gives_zero(self):
-        assert g_bullet_from_values(5.0, 0.1, [0.1, 0.2], [0.1, 0.2]) == 0.0
+        loads = _max_loads(5.0, np.array([0.1]), np.array([0.1, 0.2]), np.array([[0.1, 0.1], [0.2, 0.2]]))
+        assert loads.tolist() == [[0.0, 0.0]]
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            g_bullet_from_values(3.0, 0.1, [], [])
+    def test_empty_grid_gives_zero(self):
+        loads = _max_loads(3.0, np.array([0.1, 0.3]), np.zeros(0), np.zeros((0, 2)))
+        assert loads.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("size", [1, 2, 7, 40])
+    def test_threshold_matches_scalar_reference(self, lam, size):
+        eps = np.array([0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
+        rng = rng_from(19, size)
+        grid = np.sort(rng.random(size))
+        probs = rng.uniform(0.5, 1.0, (size, 2))
+        # Some values sit exactly on a threshold, which qualifies.
+        probs[rng.random((size, 2)) < 0.2] = 1.0 - eps[2]
+        loads = _max_loads(lam, eps, grid, probs)
+        for e, eps_value in enumerate(eps.tolist()):
+            for decoder in range(2):
+                want = g_bullet_from_values(lam, eps_value, grid, probs[:, decoder])
+                assert loads[e, decoder] == want
 
     def test_smoothing_suppresses_spurious_spikes(self):
-        grid = [0.0, 0.1, 0.2, 0.3, 0.4]
-        values = [0.99, 0.85, 0.80, 0.91, 0.10]
-        rough = g_bullet_from_values(9.0, 0.1, grid, values)
-        smooth = g_bullet_from_values(9.0, 0.1, grid, _moving_average3(np.array(values)))
+        grid = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        values = np.array([[0.99], [0.85], [0.80], [0.91], [0.10]])
+        rough = _max_loads(9.0, np.array([0.1]), grid, values)
+        smooth = _max_loads(9.0, np.array([0.1]), grid, _moving_average3(values))
         # an isolated above-threshold spike at G=0.3 survives raw thresholding
-        assert rough == pytest.approx(0.3)
+        assert rough[0, 0] == pytest.approx(0.3)
         # but not the window-3 moving average
-        assert smooth == pytest.approx(0.0)
+        assert smooth[0, 0] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 50])
     def test_smoothing_bit_identical_to_per_point_mean(self, size):
-        values = rng_from(17, size).random(size)
-        assert _moving_average3(values).tobytes() == moving_average3_reference(values).tobytes()
+        values = rng_from(17, size).random((size, 2))
+        want = np.stack([moving_average3_reference(column) for column in values.T], axis=1)
+        assert _moving_average3(values).tobytes() == want.tobytes()
 
     def test_smoothing_with_nan_matches_per_point_mean(self):
-        values = rng_from(18).random(9)
-        values[4] = np.nan
+        values = rng_from(18).random((9, 2))
+        values[4, 0] = np.nan
         smoothed = _moving_average3(values)
-        np.testing.assert_array_equal(smoothed, moving_average3_reference(values))
-        assert np.isnan(smoothed[3:6]).all() and not np.isnan(smoothed[[2, 6]]).any()
+        for column, got in zip(values.T, smoothed.T):
+            np.testing.assert_array_equal(got, moving_average3_reference(column))
+        assert np.isnan(smoothed[3:6, 0]).all() and not np.isnan(smoothed[[2, 6], 0]).any()
+        assert not np.isnan(smoothed[:, 1]).any()
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            g_bullet_from_values(3.0, 1.5, [0.1], [0.5])
         with pytest.raises(ValueError):
             g_bullet(3.0, 0.1, lambda g: 1.0, step=-0.1)
 

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +101,17 @@ class TestTabulateCommand:
         assert code == 2
         assert out.read_bytes() == b"old table\n"
         assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+    def test_out_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "ones.txt"
+        old = os.umask(0o022)
+        try:
+            code = cli.main(["tabulate", "--threads", "1", "--k-max", "1", "--s-max", "1", "--placements", "1",
+                             "--samples", "1", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 class TestSweepCommand:
@@ -268,6 +281,34 @@ class TestOracleCommand:
         assert "unit square" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "user_row, message",
+        [
+            ("0.1 0.1", "each user row must be 'x y flag'"),
+            ("0.1 0.1 1 0", "each user row must be 'x y flag'"),
+            ("0.1 0.1 2", "each user row must be 'x y flag'"),
+        ],
+        ids=["missing_flag", "fourth_field", "flag_2"],
+    )
+    def test_malformed_user_row_exits_2_no_file(self, tmp_path, user_row, message):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"n 2\nm 1\nr 0.2\np 0.5\n0.1 0.1 1\n{user_row}\n0.0 0.0\n")
+        out = tmp_path / "never.csv"
+        res = run_cli("oracle", "--instance", str(path), "--masks", "100", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("station_row", ["0.0", "0.0 0.0 1"], ids=["one_field", "three_fields"])
+    def test_malformed_station_row_exits_2_no_file(self, tmp_path, station_row):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"n 1\nm 2\nr 0.2\np 0.5\n0.1 0.1 1\n0.0 0.0\n{station_row}\n")
+        out = tmp_path / "never.csv"
+        res = run_cli("oracle", "--instance", str(path), "--masks", "100", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "each station row must be 'x y'" in res.stderr
+        assert not out.exists()
+
     def test_oversized_instance_exits_2(self):
         res = run_cli("oracle", "--n", "25", "--masks", "10")
         assert res.returncode == 2
@@ -311,7 +352,10 @@ class TestOutputDigests:
     again at seed 2^32, a two-word seed: its sweep slots hash four words
     each and its placements three.  A 50-disk tabulate line spans two
     sample blocks per placement.  On the shipped table, a sweep pins the
-    analytic columns and an oracle run its finite-bracket line."""
+    analytic columns and an oracle run its finite-bracket line.  Two
+    ``gbullet`` lines pin the max-load edge cases: a lambda whose coverage
+    1 - e^-lambda is below 1 - eps for one eps, and a grid with only one
+    point that has users."""
 
     CASES = [
         pytest.param(
@@ -343,6 +387,18 @@ class TestOutputDigests:
              "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "4294967296"],
             "a5a204aa2beb94486c3fd662d4eea3330239d760a699c3bf56d7798d1f0dffa3",
             id="gbullet_seed_2_32",
+        ),
+        pytest.param(
+            ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "1.5,4", "--eps", "0.15,0.3",
+             "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
+            "aaefb710ffcf464f0876d274c1c0f759ac7221197d9c99cf9df9b41f5a029e64",
+            id="gbullet_coverage_cutoff",
+        ),
+        pytest.param(
+            ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
+             "--grid", "0,0.3", "--runs", "20", "--seed", "5"],
+            "65afcbb8cce3c079f836bbe7454c111a62fbcc9cd351cafa17cc4861b0c36e98",
+            id="gbullet_one_point_with_users",
         ),
         pytest.param(
             ["tabulate", "--k-max", "6", "--s-max", "4", "--placements", "40", "--samples", "3000",

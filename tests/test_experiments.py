@@ -290,11 +290,11 @@ class TestEstimateGbullet:
         cfg = small_config(p=0.05, g_grid=(0.0, 0.0025, 0.005, 0.1, 0.2), runs_per_point=3)
         thresholded = []
 
-        def g_bullet_from_values(lam, eps, grid, values):
-            thresholded.append(np.array(values))
-            return 0.0
+        def max_loads(lam, eps, grid, probs):
+            thresholded.extend(probs.T)
+            return np.zeros((len(eps), 2))
 
-        monkeypatch.setattr(experiments, "g_bullet_from_values", g_bullet_from_values)
+        monkeypatch.setattr(experiments, "_max_loads", max_loads)
         estimate_gbullet(cfg, (1.5, 2.0), (0.3,))
         # The grid points with users, each with its per-run counts.
         simulated = [counts[users > 0] for users, counts in recording_simulate]

@@ -19,7 +19,6 @@ from mbaloha.scenario import (
     NetworkInstance,
     SystemParams,
     build_adjacency,
-    coverage_probability,
     dump_instance,
     generate_instance,
     parse_instance,
@@ -295,13 +294,7 @@ class TestCoverage:
     def test_lambda_min_example(self):
         assert lambda_min(0.05) == pytest.approx(2.9957, abs=1e-4)
 
-    def test_coverage_values(self):
-        assert coverage_probability(0.0) == 0.0
-        assert coverage_probability(3.0) == pytest.approx(0.9502, abs=1e-4)
-
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            coverage_probability(-0.1)
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
                 lambda_min(bad)
