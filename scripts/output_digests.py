@@ -5,7 +5,8 @@ Runs the benchmark's command lines (``sweep`` at lambda 3 and 6, ``gbullet``
 and ``tabulate``), two ``gbullet`` lines at the max-load edge cases (a lambda
 whose coverage 1 - e^-lambda is below 1 - eps for one eps, and a grid with
 only one point that has users), an ``oracle`` line on a drawn n = 12, m = 5
-instance and a ``tabulate`` line with 50 disks and two sample blocks per
+instance, an ``oracle`` line with two masks, whose estimates are all 0, 1/2
+or 1, and a ``tabulate`` line with 50 disks and two sample blocks per
 placement, at seeds 20259, 7 and 2^32 and at one and two worker processes,
 each as ``python -m mbaloha`` from the checkout's ``src/`` in a fresh
 temporary directory.  Every command prints one line per output: the sha256
@@ -68,6 +69,11 @@ COMMANDS = [
         "oracle",
         ["oracle", "--n", "12", "--m", "5", "--masks", "10000", "--moment-table", TABLE],
         "oracle.csv",
+    ),
+    (
+        "oracle_corner",
+        ["oracle", "--n", "4", "--m", "2", "--r", "0.25", "--p", "0.5", "--masks", "2"],
+        "oracle_corner.csv",
     ),
     (
         "tabulate_k6",

@@ -268,8 +268,12 @@ def _cmd_oracle(args) -> int:
     # One row per user, one column per decoder (non-cooperative, cooperative).
     oracle = np.stack([exact.noncooperative, exact.cooperative], axis=1)
     est = np.stack([mc.prob_noncoop, mc.prob_coop], axis=1)
-    se = np.stack([mc.stderr_noncoop, mc.stderr_coop], axis=1)
-    z = np.divide(est - oracle, se, out=np.zeros_like(se), where=se > 0)
+    # z against the exact value's binomial standard error.  Where the exact
+    # value is 0 or 1 that error is 0: z is 0 if the estimate equals it and
+    # infinite otherwise.
+    se = np.sqrt(oracle * (1.0 - oracle) / args.masks)
+    z = np.where(est == oracle, 0.0, np.copysign(np.inf, est - oracle))
+    np.divide(est - oracle, se, out=z, where=se > 0)
     worst = np.abs(z).max(axis=1)
     rows = zip(oracle.tolist(), est.tolist(), z.tolist(), worst.tolist())
     for i, ((o_nc, o_coop), (e_nc, e_coop), (z_nc, z_coop), w) in enumerate(rows):

@@ -49,6 +49,17 @@ def _peel(
     each component are a ``bincount`` of the nonzero entries.  Every round
     up to the last delivers at least one user; a positive ``max_rounds``
     stops peeling once that many rounds are done.
+
+    Round one tests every edge.  While a round removes at least half of the
+    live edges, the next round tests every live edge too, on the compacted
+    list.  After that, a round looks only at the stations that lost an edge
+    in the round before.  No other station can have degree one: a degree
+    changes only when its station loses an edge, and a station of degree
+    one loses its edge in the round that finds it.  Each station keeps its
+    live degree and the sum of the columns it still hears, so a station of
+    degree one names its user, and a delivered user's edges are found as
+    one run of the edge list.  The edges may come in any order: if some
+    column's edges are not one run, they are sorted by column first.
     """
     rounds = np.zeros(n_columns, dtype=np.int64)
     r = 0
@@ -57,14 +68,65 @@ def _peel(
     while station.size:
         alone = np.flatnonzero(np.bincount(station, minlength=n_stations)[station] == 1)
         if not alone.size:
-            break
+            return rounds
         r += 1
         rounds[column[alone]] = r
         if r == max_rounds:
-            break
+            return rounds
         live = np.flatnonzero(rounds[column] == 0)
+        compacting = 2 * live.size <= station.size
         station, column = station[live], column[live]
-    return rounds
+        if not compacting:
+            break
+    if not station.size:
+        return rounds
+
+    degree = np.bincount(station, minlength=n_stations)
+    frontier = np.flatnonzero(degree == 1)
+    if not frontier.size:
+        return rounds
+    # Run k of the edges is bounds[k]:bounds[k + 1], of column heads[k].
+    bounds, heads = _runs(column)
+    run_of = np.empty(n_columns, dtype=np.intp)
+    ids = np.arange(heads.size)
+    run_of[heads] = ids
+    if not np.array_equal(run_of[heads], ids):
+        # A column heads two runs, and one of them lost its write.
+        order = np.argsort(column, kind="stable")
+        station, column = station[order], column[order]
+        bounds, heads = _runs(column)
+        run_of[heads] = np.arange(heads.size)
+    # Sums of column ids, exact in float64 far beyond any graph's size.
+    heard = np.bincount(station, weights=column, minlength=n_stations)
+    owner = np.empty(heads.size, dtype=np.intp)
+    while True:
+        ends = frontier[degree[frontier] == 1]
+        if not ends.size:
+            return rounds
+        # A user alone at several stations is delivered once: of a run's
+        # entries, only the one whose write to owner stayed is kept.
+        run = run_of[heard[ends].astype(np.intp)]
+        entry = np.arange(run.size)
+        owner[run] = entry
+        run = run[owner[run] == entry]
+        r += 1
+        rounds[heads[run]] = r
+        if r == max_rounds:
+            return rounds
+        lo = bounds[run]
+        size = bounds[run + 1] - lo
+        last = np.cumsum(size)
+        edge = np.arange(last[-1]) + np.repeat(lo - (last - size), size)
+        frontier = station[edge]
+        degree -= np.bincount(frontier, minlength=n_stations)
+        heard -= np.bincount(frontier, weights=column[edge], minlength=n_stations)
+
+
+def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the runs of equal entries of a nonempty ``column``, and each run's entry."""
+    starts = np.flatnonzero(column[1:] != column[:-1]) + 1
+    bounds = np.concatenate(([0], starts, [column.size]))
+    return bounds, column[bounds[:-1]]
 
 
 def _decode(graph: BipartiteGraph, cooperative: bool) -> DecodingResult:
@@ -162,8 +224,6 @@ class MaskMonteCarlo(NamedTuple):
 
     prob_noncoop: np.ndarray
     prob_coop: np.ndarray
-    stderr_noncoop: np.ndarray
-    stderr_coop: np.ndarray
     n_masks: int
 
 
@@ -173,7 +233,7 @@ def mask_monte_carlo(graph: BipartiteGraph, p: float, n_masks: int, seed: int) -
     ``graph`` is ``all_users_adjacency`` of a placement and every user is
     active with probability ``p``.  Masks are drawn and decoded
     ``MASK_BLOCK`` at a time; the unconditional per-user estimate is (times
-    collected)/n_masks with its binomial standard error.
+    collected)/n_masks.
     """
     if n_masks < 1:
         raise ValueError(f"n_masks must be a positive integer, got {n_masks}")
@@ -183,5 +243,4 @@ def mask_monte_carlo(graph: BipartiteGraph, p: float, n_masks: int, seed: int) -
         masks = rng.random((min(MASK_BLOCK, n_masks - lo), graph.n_users)) < p
         hits = hits + _tally(graph, masks, np.ones((len(masks), 1)))
     ph_nc, ph_coop = hits[:, 0] / n_masks
-    se = lambda ph: np.sqrt(ph * (1.0 - ph) / n_masks)
-    return MaskMonteCarlo(ph_nc, ph_coop, se(ph_nc), se(ph_coop), n_masks)
+    return MaskMonteCarlo(ph_nc, ph_coop, n_masks)

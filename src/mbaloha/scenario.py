@@ -78,8 +78,9 @@ class BipartiteGraph:
 
     Edge e joins station ``station[e]`` to column ``column[e]``; column j is
     the active user ``users[j]``.  Inactive users have no column, and an
-    active user that no station hears has a column but no edge.  The order
-    of the edges is unspecified.
+    active user that no station hears has a column but no edge.
+    ``build_adjacency`` lists each column's edges together; the decoders
+    accept the edges in any order.
     """
 
     n_stations: int

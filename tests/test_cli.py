@@ -335,6 +335,34 @@ class TestOracleCommand:
         assert "seed must be nonnegative" in res.stderr
         assert not out.exists()
 
+    CORNER = ["oracle", "--n", "4", "--m", "2", "--r", "0.25", "--p", "0.5", "--masks", "2", "--seed", "1"]
+
+    def test_z_against_exact_standard_error(self):
+        # Two masks make every estimate 0, 1/2 or 1.  User 3 has exact 1/2 and
+        # estimate 1: z = (1 - 1/2) / sqrt(1/4 / 2) = 1.41, though the
+        # estimate's own standard error is 0.
+        res = run_cli(*self.CORNER)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[5] == "3,0.5,1,1.41,0.5,1,1.41,pass"
+        assert lines[6].startswith("# max |z| = 1.41 over 4 users")
+
+    def test_estimate_off_an_exact_zero_fails(self, monkeypatch, capsys):
+        # Users 0 to 2 of this placement are never collected: exact 0.
+        real = cli.mask_monte_carlo
+
+        def off(graph, p, n_masks, seed):
+            mc = real(graph, p, n_masks, seed)
+            mc.prob_noncoop[0] = 0.5
+            return mc
+
+        monkeypatch.setattr(cli, "mask_monte_carlo", off)
+        assert cli.main(self.CORNER) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "0,0,0.5,inf,0,0,0,FAIL"
+        assert lines[3] == "1,0,0,0,0,0,0,pass"
+        assert lines[6].startswith("# max |z| = inf over 4 users")
+
     def test_random_instance_smoke_with_bracket(self, table_path):
         res = run_cli(
             "oracle", "--n", "5", "--m", "3", "--r", "0.2", "--p", "0.4",
@@ -420,7 +448,7 @@ class TestOutputDigests:
         ),
         pytest.param(
             ["oracle", "--n", "8", "--m", "3", "--moment-table", str(DEFAULT_TABLE)],
-            "77dc87309d160de68d9ee7ed88e1433125ceb63c672a379861c908bec94fd0e3",
+            "0a093cd7915b816f9c4500562a30573fa8606dc99d0b3a3e21477e85f094c3ec",
             id="oracle_bracket",
         ),
     ]

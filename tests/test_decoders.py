@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rng_from
+from mbaloha import decoders
 from mbaloha.decoders import (
     MASK_BLOCK,
     _peel,
@@ -30,8 +31,10 @@ from topologies import (
     four_cycle,
     graph_from_station_lists,
     incidence,
+    peel_by_compaction,
     ten_user_showcase,
     three_round_chain_instance,
+    twice_alone_late,
     two_station_chain,
 )
 
@@ -207,10 +210,8 @@ class TestBruteForce:
         inst = generate_instance(params, rng_from(777))
         exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
         mc = mask_monte_carlo(all_users_adjacency(inst), params.p, n_masks=40_000, seed=11)
-        for est, se, truth in (
-            (mc.prob_noncoop, mc.stderr_noncoop, exact.noncooperative),
-            (mc.prob_coop, mc.stderr_coop, exact.cooperative),
-        ):
+        for est, truth in ((mc.prob_noncoop, exact.noncooperative), (mc.prob_coop, exact.cooperative)):
+            se = np.sqrt(est * (1.0 - est) / mc.n_masks)
             z = np.abs(est - truth) / np.maximum(se, 1e-12)
             assert z.max() <= 4.0  # 8 users x 2 modes, allow a sane max-z
 
@@ -235,6 +236,100 @@ class TestBatchedKernel:
         empty = np.zeros(0, dtype=np.int64)
         assert _peel(empty, empty, 3, 0).shape == (0,)
         assert _peel_masks(BipartiteGraph(3, 0, empty, empty, empty), np.zeros((1, 0), bool)).shape == (1, 0)
+
+
+@st.composite
+def edge_lists(draw):
+    """A random graph's edges, listed column by column."""
+    n_stations = draw(st.integers(1, 10))
+    n_columns = draw(st.integers(0, 14))
+    density = draw(st.floats(0.05, 0.7))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    column, station = np.nonzero(rng.random((n_columns, n_stations)) < density)
+    return station, column, n_stations, n_columns
+
+
+EDGE_ORDERS = ["column", "station", "shuffled", "split"]
+
+
+def listed(station, column, order, seed):
+    """The edges of a column-by-column list, listed in ``order``.
+
+    ``split`` moves the last edge of the last column with two edges or more
+    to the far end of the list from its run, so that this column has two
+    runs whenever another column has an edge.
+    """
+    pick = np.arange(station.size)
+    if order == "station":
+        pick = np.argsort(station, kind="stable")
+    elif order == "shuffled":
+        pick = rng_from(seed).permutation(station.size)
+    elif order == "split":
+        many = np.flatnonzero(np.bincount(column)[column] >= 2)
+        if many.size:
+            e = many[-1]
+            rest = np.delete(pick, e)
+            pick = np.concatenate(([e], rest) if column[e] == column[-1] else (rest, [e]))
+    return station[pick], column[pick]
+
+
+def assert_peels_as_reference(station, column, n_stations, n_columns, max_rounds):
+    want = peel_by_compaction(station, column, n_stations, n_columns, max_rounds)
+    got = _peel(station, column, n_stations, n_columns, max_rounds)
+    assert np.array_equal(got, want)
+    return got
+
+
+class TestPeelKernel:
+    """``_peel`` against the round-by-round compaction reference of ``topologies``."""
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    @pytest.mark.parametrize("order", EDGE_ORDERS)
+    @given(edge_lists(), st.integers(0, 99))
+    def test_random_graphs_in_any_edge_order(self, order, max_rounds, edges, seed):
+        station, column, n_stations, n_columns = edges
+        assert_peels_as_reference(*listed(station, column, order, seed), n_stations, n_columns, max_rounds)
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    @pytest.mark.parametrize("order", EDGE_ORDERS)
+    def test_user_alone_at_two_stations_after_a_light_round(self, order, max_rounds):
+        graph = twice_alone_late()
+        station, column = listed(graph.station, graph.column, order, 5)
+        rounds = assert_peels_as_reference(station, column, graph.n_stations, graph.users.size, max_rounds)
+        full = np.array([1, 2, 0, 0, 0, 3])
+        assert np.array_equal(rounds, full if max_rounds is None else np.where(full <= max_rounds, full, 0))
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    def test_users_and_no_edges(self, max_rounds):
+        empty = np.zeros(0, dtype=np.int64)
+        assert assert_peels_as_reference(empty, empty, 3, 4, max_rounds).tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "graph, want",
+        [(four_cycle(), [0, 0]), (ten_user_showcase(), [1, 1, 1, 1, 2, 2, 2, 3, 3, 0])],
+        ids=["four_cycle", "showcase"],
+    )
+    @pytest.mark.parametrize("order", EDGE_ORDERS)
+    def test_stopping_sets_and_users_without_edges(self, graph, want, order):
+        station, column = listed(graph.station, graph.column, order, 3)
+        assert assert_peels_as_reference(station, column, graph.n_stations, graph.users.size, None).tolist() == want
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    def test_sweep_block_at_lambda_6_and_full_load(self, max_rounds):
+        # 128 slots as one experiments block: lambda = m pi r^2 = 6, G = n p / m = 1.
+        params = SystemParams(n=400, m=100, r=math.sqrt(6 / (100 * math.pi)), p=0.25)
+        union = build_adjacency(*(generate_instance(params, rng_from(1706, k)) for k in range(128)))
+        rounds = assert_peels_as_reference(union.station, union.column, union.n_stations, union.users.size, max_rounds)
+        if max_rounds is None:
+            assert rounds.max() >= 8
+
+    @pytest.mark.parametrize("n, m, r", [(12, 5, 0.25), (12, 3, 0.2), (10, 5, 0.15)])
+    def test_mask_blocks(self, monkeypatch, n, m, r):
+        graph = all_users_adjacency(generate_instance(SystemParams(n=n, m=m, r=r, p=0.5), rng_from(1707, n, m)))
+        masks = rng_from(1708, n, m).random((MASK_BLOCK, n)) < 0.6
+        rounds = _peel_masks(graph, masks)
+        monkeypatch.setattr(decoders, "_peel", peel_by_compaction)
+        assert np.array_equal(rounds, _peel_masks(graph, masks))
 
 
 class TestDisjointUnion:

@@ -15,7 +15,9 @@ from laws import (
     station_degree_pmf,
     user_degree_pmf,
 )
+from mbaloha.decoders import all_users_adjacency
 from mbaloha.scenario import (
+    _PAIR_CHUNK,
     NetworkInstance,
     SystemParams,
     build_adjacency,
@@ -218,6 +220,39 @@ class TestBlockAdjacency:
         assert len(instances) == 128
         union = self._check(instances)
         assert (union.station >= union.n_stations - instances[-1].params.m).any()
+
+
+def assert_column_runs(graph):
+    """Each column's edges are contiguous: as many runs of equal columns as columns with edges."""
+    runs = np.count_nonzero(np.diff(graph.column)) + 1 if graph.column.size else 0
+    assert runs == np.unique(graph.column).size
+
+
+class TestEdgeOrder:
+    """``build_adjacency`` lists each column's edges together."""
+
+    SWEEP_LAMBDA_6 = SystemParams(n=400, m=100, r=math.sqrt(6 / (100 * math.pi)), p=0.25)
+
+    def test_one_instance(self):
+        graph = build_adjacency(generate_instance(self.SWEEP_LAMBDA_6, rng_from(1801)))
+        assert graph.station.size > 0
+        assert_column_runs(graph)
+
+    def test_block_of_128_slots_with_empty_slots(self):
+        rng = rng_from(1802)
+        instances = [generate_instance(self.SWEEP_LAMBDA_6, rng) for _ in range(128)]
+        for k in (0, 63, 127):
+            instances[k] = NetworkInstance(
+                self.SWEEP_LAMBDA_6, instances[k].user_xy, instances[k].station_xy, np.zeros(400, dtype=bool)
+            )
+        union = build_adjacency(*instances)
+        # The candidate pairs span many chunks.
+        assert union.station.size > 2 * _PAIR_CHUNK
+        assert_column_runs(union)
+
+    @given(small_params, st.integers(0, 2**32 - 1))
+    def test_all_users_adjacency(self, params, seed):
+        assert_column_runs(all_users_adjacency(generate_instance(params, rng_from(seed))))
 
 
 class TestDisjointUnion:

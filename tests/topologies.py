@@ -1,5 +1,6 @@
-"""Hand-built decoding graphs with hand-executed expected outcomes, and a
-sequential peeling decoder used as the differential reference."""
+"""Hand-built decoding graphs with hand-executed expected outcomes, and two
+peeling decoders used as differential references: a sequential one and a
+round-by-round one."""
 
 import numpy as np
 
@@ -44,6 +45,41 @@ def decode_cooperative_sequential(
         left[:, j] = False
         rounds += 1
     return DecodingResult(collected, rounds, [1] * rounds)
+
+
+def peel_by_compaction(
+    station: np.ndarray, column: np.ndarray, n_stations: int, n_columns: int, max_rounds: int | None = None
+) -> np.ndarray:
+    """Delivery round per column, as ``decoders._peel`` returns it, the plain way.
+
+    Every round counts the degree of every station over the live edges,
+    delivers the users of the stations of degree one, and drops the edges
+    of the delivered users.  The edges may come in any order.
+    """
+    rounds = np.zeros(n_columns, dtype=np.int64)
+    r = 0
+    while station.size:
+        alone = np.flatnonzero(np.bincount(station, minlength=n_stations)[station] == 1)
+        if not alone.size:
+            break
+        r += 1
+        rounds[column[alone]] = r
+        if r == max_rounds:
+            break
+        live = np.flatnonzero(rounds[column] == 0)
+        station, column = station[live], column[live]
+    return rounds
+
+
+def twice_alone_late() -> BipartiteGraph:
+    """A user alone at two stations in a round after a round that removed few edges.
+
+    Round 1 delivers u0 alone (3 of 11 edges).  Round 2 finds u1 alone at
+    b1 and at b2 and delivers it once; its edge at b5 goes with it, so b5
+    delivers u5 in round 3.  u2 and u3 form a stopping set, and u4 has no
+    edge.
+    """
+    return graph_from_station_lists(6, [[0], [0, 1], [0, 1], [2, 3], [2, 3], [1, 5]])
 
 
 def ten_user_showcase() -> BipartiteGraph:
