@@ -2,12 +2,13 @@
 """Print the sha256 of every output of a fixed list of command lines.
 
 Runs the benchmark's command lines (``sweep`` at lambda 3 and 6, ``gbullet``
-and ``tabulate``), two ``gbullet`` lines at the max-load edge cases (a lambda
-whose coverage 1 - e^-lambda is below 1 - eps for one eps, and a grid with
-only one point that has users), an ``oracle`` line on a drawn n = 12, m = 5
-instance, an ``oracle`` line with two masks, whose estimates are all 0, 1/2
-or 1, and a ``tabulate`` line with 50 disks and two sample blocks per
-placement, at seeds 20259, 7 and 2^32 and at one and two worker processes,
+and ``tabulate``), a ``sweep`` line at m = 4000 and lambda 0.5 whose graph
+blocks have more than 2^16 station cells, two ``gbullet`` lines at the
+max-load edge cases (a lambda whose coverage 1 - e^-lambda is below 1 - eps
+for one eps, and a grid with only one point that has users), an ``oracle``
+line on a drawn n = 12, m = 5 instance, an ``oracle`` line with two masks,
+whose estimates are all 0, 1/2 or 1, and a ``tabulate`` line with 50 disks
+and two sample blocks per placement, at seeds 20259, 7 and 2^32 and at one and two worker processes,
 each as ``python -m mbaloha`` from the checkout's ``src/`` in a fresh
 temporary directory.  Every command prints one line per output: the sha256
 of each output file, of stdout and of stderr, and the exit code.  Run it
@@ -46,6 +47,12 @@ COMMANDS = [
     )
     for lam in ("3", "6")
 ] + [
+    (
+        "sweep_wide_key",
+        ["sweep", "--m", "4000", "--p", "0.25", "--lambda", "0.5", "--grid", "0.05,0.2", "--runs", "64",
+         "--no-analytic"],
+        "sweep_wide_key.csv",
+    ),
     (
         "gbullet",
         ["gbullet", "--m", "100", "--p", "0.25", "--lambdas", "2,3,4,6", "--eps", "0.08,0.1,0.2",

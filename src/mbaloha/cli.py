@@ -111,18 +111,25 @@ def _parse_floats(spec: str) -> tuple[float, ...]:
 def _thread_count(spec: str) -> int:
     count = int(spec)
     if count < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 (all cores) or a positive count, got {count}")
+        raise argparse.ArgumentTypeError(f"must be 0 (one per usable core) or a positive count, got {count}")
     return count
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
-    sub.add_argument("--threads", type=_thread_count, default=0, help="worker processes, 0 = all cores")
+    sub.add_argument(
+        "--threads", type=_thread_count, default=0, help="worker processes, 0 = one per core this process may use"
+    )
     sub.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
 
 
 def _workers(args) -> int:
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    """``--threads``, or with 0 the cores this process may run on."""
+    if args.threads > 0:
+        return args.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _emit(args, text: str) -> None:

@@ -117,8 +117,8 @@ def _run_jobs(work, items, weights, workers: int | None) -> np.ndarray:
 
     ``work`` takes a contiguous slice of ``items`` and returns one row per
     item.  The items are cut into contiguous jobs of about equal total
-    weight, ``JOBS_PER_WORKER`` per worker, which run on one process pool;
-    a single job runs in this process.
+    weight, ``JOBS_PER_WORKER`` per worker, which run on one process pool
+    of no more processes than jobs; a single job runs in this process.
     """
     n_jobs = JOBS_PER_WORKER * workers if workers is not None and workers > 1 else 1
     total = np.cumsum(weights)
@@ -127,7 +127,7 @@ def _run_jobs(work, items, weights, workers: int | None) -> np.ndarray:
     if len(ends) == 1:
         return work(items)
     jobs = [items[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return np.concatenate(list(pool.map(work, jobs)))
 
 

@@ -6,20 +6,25 @@ station to the active users within distance r and is stored as an edge
 list: per edge, the station and the column of the active user it hears.
 ``build_adjacency`` builds the graph of a block of slots in one pass, as
 their disjoint union, so that many slots are decoded in one kernel call; it
-finds each user's stations in a window of the stations sorted by x.
+counts the stations per x-cell of each slot and finds each user's candidate
+stations as the run of cells that spans its disk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import HALF_SIDE
 
-# Distance between the slots on the sort key of ``build_adjacency``: more
-# than a side of the square plus twice the largest r.
-_SLOT_GAP = 4.0
+# Cells per r across each slot's x range in ``build_adjacency``.
+_CELLS_PER_R = 4
+
+# How far ``build_adjacency`` widens each window past r, in x: far more than
+# the rounding of the pair test and of the window ends (see its docstring).
+_ROUNDING_MARGIN = 2.0**-40
 
 # Candidate (station, user) pairs tested at a time by ``build_adjacency``,
 # so that its temporary arrays stay at a few MB for any number of slots.
@@ -121,43 +126,51 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     no edge joins two slots.  Peeling rounds are synchronous, so decoding the
     union decodes each slot as on its own.
 
-    Stations and active users are sorted by the key ``slot * 4 + x``, and
-    each user tests only the window of stations whose key is within r, plus
-    a margin for the rounding of the keys, of its own; a window never reaches
-    another slot.  The test ``dx*dx + dy*dy <= r**2`` decides each pair, so
-    the edges are those of the all-pairs test.  The windows are taken
-    ``_PAIR_CHUNK`` candidate pairs at a time, and each column's edges come
-    out together.
+    Each slot's x range is cut into cells of equal width, about
+    ``_CELLS_PER_R`` per smallest r of the block but no more than its largest
+    m, and the stations are ordered by (slot, cell) and counted per cell.  A
+    user tests the stations of the run of its slot's cells that meets
+    [x - r - margin, x + r + margin], with margin ``_ROUNDING_MARGIN``.  The
+    test ``dx*dx + dy*dy <= r**2`` decides each pair, so the edges are those
+    of the all-pairs test as long as the run holds every pair the test
+    accepts.  It does: such a pair has |dx| <= r (1 + 2**-51), within 2**-53
+    of r as r <= 1/4, the two ends are rounded by less than 2**-52, and the
+    margin is 2**12 times wider; a station's cell is a nondecreasing function
+    of its x, so a station between the two ends lies in a cell of the run.
+    Positions off the square fall in the edge cells.  The users are visited
+    in column order, ``_PAIR_CHUNK`` candidate pairs at a time, so each
+    column's edges form one run and the runs ascend.
     """
     n_users = [inst.params.n for inst in instances]
     n_stations = [inst.params.m for inst in instances]
-    # The windows must hold every pair that the exact test accepts, though
-    # the keys and dx are rounded: keys reach _SLOT_GAP * len(instances),
-    # where float64 rounds by 2**-53 of that, and the margin is 2**13 times
-    # wider.
-    margin = _SLOT_GAP * len(instances) * 2.0**-40
-    # Per slot: its key offset, the half-width of its windows and r**2.
-    per_slot = np.array(
-        [(_SLOT_GAP * k, inst.params.r + margin, inst.params.r**2) for k, inst in enumerate(instances)]
-    )
+    radius = np.array([inst.params.r for inst in instances])
+    cells = min(math.ceil(_CELLS_PER_R / radius.min()), max(n_stations))
+    n_cells = len(instances) * cells
+    first_cell = np.arange(0, n_cells, cells)
+
+    def cell_of(x: np.ndarray) -> np.ndarray:
+        """Cell of each x within its slot, nondecreasing in x."""
+        return np.minimum(np.maximum((x + HALF_SIDE) * cells, 0), cells - 1).astype(np.intp)
 
     station_xy = np.concatenate([inst.station_xy for inst in instances])
-    key = np.repeat(per_slot[:, 0], n_stations) + station_xy[:, 0]
-    order = np.argsort(key)
-    key = key[order]
-    sx, sy = station_xy[order].T.copy()
+    key = (np.repeat(first_cell, n_stations) + cell_of(station_xy[:, 0])).astype(np.min_scalar_type(n_cells - 1))
+    # A stable sort of a key of 16 bits or less is a radix sort.
+    order = np.argsort(key, kind="stable")
+    sx, sy = (xy[order] for xy in station_xy.T)
+    # Cell c holds the sorted stations starts[c] up to starts[c + 1].
+    starts = np.zeros(n_cells + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=n_cells), out=starts[1:])
 
     users = np.flatnonzero(np.concatenate([inst.active for inst in instances]))
-    user_xy = np.concatenate([inst.user_xy for inst in instances])[users]
-    per_user = np.repeat(per_slot, n_users, axis=0)[users]
-    ukey = per_user[:, 0] + user_xy[:, 0]
-    # Users in key order too, so that the searches and gathers run forward.
-    by_key = np.argsort(ukey)
-    ukey = ukey[by_key]
-    ux, uy = user_xy[by_key].T.copy()
-    _, reach, r2 = per_user[by_key].T.copy()
-    lo = np.searchsorted(key, ukey - reach)
-    counts = np.searchsorted(key, ukey + reach, side="right") - lo
+    ux, uy = (xy[users] for xy in np.concatenate([inst.user_xy for inst in instances]).T)
+    # Per active user: its slot's first cell, half-width of window and r**2.
+    bounds = np.searchsorted(users, np.cumsum([0, *n_users]))
+    active_per_slot = bounds[1:] - bounds[:-1]
+    base = np.repeat(first_cell, active_per_slot)
+    reach = np.repeat(radius + _ROUNDING_MARGIN, active_per_slot)
+    r2 = np.repeat([inst.params.r**2 for inst in instances], active_per_slot)
+    lo = starts[base + cell_of(ux - reach)]
+    counts = starts[base + cell_of(ux + reach) + 1] - lo
 
     # The i-th user's candidates are the flat pairs ends[i] - counts[i] up to
     # ends[i]; pair f of user i tests the sorted station f + shift[i].
@@ -175,7 +188,7 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
         dy = sy[cand] - np.repeat(uy[i0:i1], reps)
         hit = np.flatnonzero(dx * dx + dy * dy <= np.repeat(r2[i0:i1], reps))
         stations.append(order[cand[hit]])
-        columns.append(np.repeat(by_key[i0:i1], reps)[hit])
+        columns.append(np.repeat(np.arange(i0, i1), reps)[hit])
         i0 = i1
     return BipartiteGraph(sum(n_stations), sum(n_users), users, np.concatenate(stations), np.concatenate(columns))
 

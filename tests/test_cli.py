@@ -468,6 +468,25 @@ class TestOutputDigests:
         assert self._digest(tmp_path, args, "2") == digest
 
 
+class TestWorkerCount:
+    @staticmethod
+    def _args(threads):
+        return cli.build_parser().parse_args(["sweep", "--threads", str(threads)])
+
+    def test_zero_counts_the_cores_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._workers(self._args(0)) == 3
+        assert cli._workers(self._args(2)) == 2
+
+    def test_zero_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._workers(self._args(0)) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._workers(self._args(0)) == 1
+
+
 class TestUsageErrors:
     def test_negative_threads(self):
         res = run_cli("sweep", "--threads", "-3", "--grid", "0.2", "--no-analytic")

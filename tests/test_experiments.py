@@ -27,11 +27,13 @@ def sweep_alphas():
 @pytest.fixture
 def counting_pool(monkeypatch):
     """Swaps the process pool for one that runs ``map`` in this process;
-    returns the executors opened while the test runs, each with its jobs."""
+    returns the executors opened while the test runs, each with its jobs and
+    the worker count it was asked for."""
     opened = []
 
     class CountingExecutor:
         def __init__(self, max_workers=None):
+            self.max_workers = max_workers
             self.jobs = []
             opened.append(self)
 
@@ -164,6 +166,15 @@ class TestSweepLoad:
         for per_worker in (1, 7):
             monkeypatch.setattr(experiments, "JOBS_PER_WORKER", per_worker)
             assert render_sweep_csv(sweep_load(small_config(), workers=2), "x") == a
+
+    def test_no_more_workers_than_jobs(self, counting_pool):
+        # One run at two loads is two slots, so two jobs however many workers.
+        config = small_config(g_grid=(0.1, 0.2), runs_per_point=1)
+        want = repr(sweep_load(config, workers=1))
+        assert repr(sweep_load(config, workers=64)) == want
+        [pool] = counting_pool
+        assert len(pool.jobs) == 2
+        assert pool.max_workers == 2
 
     def test_rows_independent_of_run_block(self, monkeypatch):
         # Block 1 decodes every run on its own; 3 leaves a partial last block

@@ -17,6 +17,7 @@ from laws import (
 )
 from mbaloha.decoders import all_users_adjacency
 from mbaloha.scenario import (
+    _CELLS_PER_R,
     _PAIR_CHUNK,
     NetworkInstance,
     SystemParams,
@@ -166,10 +167,12 @@ def all_pairs_incidence(instances) -> np.ndarray:
     return dense
 
 
-def boundary_instance(r: float) -> NetworkInstance:
-    """Users across the square, x = +-1/2 included, each with stations at
-    distance exactly r along x and along y, and one float step beyond."""
-    xs = (-0.5, -0.3141592653589793, -0.1, 0.0, 0.2718281828459045, 0.5)
+def boundary_instance(
+    r: float, xs=(-0.5, -0.3141592653589793, -0.1, 0.0, 0.2718281828459045, 0.5)
+) -> NetworkInstance:
+    """Users across the square, at the given x and x = +-1/2 by default, each
+    with stations at distance exactly r along x and along y, and one float
+    step beyond."""
     users = [(x, y) for x in xs for y in (-0.5, 0.123456789, 0.5)]
     stations = []
     for ux, uy in users:
@@ -220,6 +223,100 @@ class TestBlockAdjacency:
         assert len(instances) == 128
         union = self._check(instances)
         assert (union.station >= union.n_stations - instances[-1].params.m).any()
+
+
+def dense_incidence(instances) -> np.ndarray:
+    """Dense station x column incidence of the instances side by side, one
+    numpy all-pairs test per slot with the kernel's own float expression."""
+    dense = np.zeros((sum(i.params.m for i in instances), sum(int(i.active.sum()) for i in instances)), dtype=bool)
+    row = col = 0
+    for inst in instances:
+        ux, uy = inst.user_xy[inst.active].T
+        sx, sy = inst.station_xy.T
+        dx, dy = sx[:, None] - ux, sy[:, None] - uy
+        block = dx * dx + dy * dy <= inst.params.r**2
+        dense[row : row + block.shape[0], col : col + block.shape[1]] = block
+        row, col = row + block.shape[0], col + block.shape[1]
+    return dense
+
+
+def cells_per_slot(instances) -> int:
+    """The x-cells of each slot of ``build_adjacency``: about ``_CELLS_PER_R``
+    per smallest r, but no more than the largest m."""
+    return min(math.ceil(_CELLS_PER_R / min(i.params.r for i in instances)), max(i.params.m for i in instances))
+
+
+class TestCellWindows:
+    """The per-slot x-cell windows of ``build_adjacency`` keep every edge of
+    the all-pairs test, wherever the cell edges fall."""
+
+    @staticmethod
+    def _check(instances, reference=all_pairs_incidence):
+        union = build_adjacency(*instances)
+        offsets = np.cumsum([0] + [inst.params.n for inst in instances[:-1]])
+        users = np.concatenate([np.flatnonzero(inst.active) + o for inst, o in zip(instances, offsets)])
+        assert np.array_equal(union.users, users)
+        assert len(set(zip(union.station.tolist(), union.column.tolist()))) == union.station.size
+        assert np.array_equal(incidence(union), reference(instances))
+        assert_column_runs(union)
+        return union
+
+    def test_block_mixing_the_radii_of_gbullet(self):
+        # One radius per lambda, slot by slot; the cells follow the smallest.
+        rng = rng_from(1803)
+        params = [SystemParams(n=400, m=100, r=math.sqrt(lam / (100 * math.pi)), p=0.25) for lam in (2, 3, 4, 6)]
+        instances = [generate_instance(params[k % 4], rng) for k in range(128)]
+        assert self._check(instances, dense_incidence).station.size > 2 * _PAIR_CHUNK
+
+    @pytest.mark.parametrize("r", [0.125, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
+    def test_window_ends_on_cell_edges(self, r):
+        # Users whose x - r, and users whose x + r, sit on a cell edge, with
+        # stations at distance exactly r and one float step beyond.  At
+        # r = 1/8 the cells are 1/32 wide and every value is exact, so both
+        # ends of a window and the stations at x +- r sit on cell edges.
+        cells = math.ceil(_CELLS_PER_R / r)
+        edges = [-0.5 + j / cells for j in {*range(0, cells, max(1, cells // 16)), cells}]
+        xs = sorted({x for e in edges for x in (e + r, e - r) if abs(x) <= 0.5})
+        inst = boundary_instance(r, xs)
+        assert cells_per_slot([inst]) == cells
+        if r == 0.125:
+            assert cells == 32 and all((x + 0.5) * 32 == round((x + 0.5) * 32) for x in xs)
+        assert self._check([inst]).station.size > 0
+        filler = generate_instance(SystemParams(n=30, m=cells, r=r, p=0.5), rng_from(1804))
+        assert self._check([filler, inst, filler]).station.size > 0
+
+    def test_key_of_more_than_16_bits(self):
+        r = 0.0075
+        rng = rng_from(1805)
+        instances = [generate_instance(SystemParams(n=30, m=2000, r=r, p=0.5), rng) for _ in range(127)]
+        instances.append(boundary_instance(r))
+        assert len(instances) * cells_per_slot(instances) > 2**16
+        union = self._check(instances, dense_incidence)
+        assert (union.station >= union.n_stations - instances[-1].params.m).sum() > 0
+        assert (union.station < union.n_stations - instances[-1].params.m).sum() > 100
+
+    def test_slots_without_active_users(self):
+        rng = rng_from(1806)
+        instances = [generate_instance(SystemParams(n=20, m=10, r=0.2, p=0.5), rng) for _ in range(7)]
+        for k in (0, 3, 6):
+            inst = instances[k]
+            instances[k] = NetworkInstance(inst.params, inst.user_xy, inst.station_xy, np.zeros(20, dtype=bool))
+        union = self._check(instances)
+        assert union.station.size > 0
+        # No slot is active: no users, no edges.
+        silent = [instances[k] for k in (0, 3, 6)]
+        union = self._check(silent)
+        assert union.users.size == union.station.size == 0
+        assert union.n_stations == 30
+
+    def test_stations_off_the_square(self):
+        # Copies of the stations shifted by one side, as a torus's ghost
+        # stations are, land in the edge cells and keep their edges.
+        inst = generate_instance(SystemParams(n=60, m=40, r=0.15, p=1.0), rng_from(1807))
+        ghosts = np.concatenate([inst.station_xy + shift for shift in ([0, 0], [1, 0], [-1, 0], [0, 1], [-1, -1])])
+        torus = NetworkInstance(SystemParams(n=60, m=ghosts.shape[0], r=0.15, p=1.0), inst.user_xy, ghosts, inst.active)
+        union = self._check([torus, inst])
+        assert ((union.station >= inst.params.m) & (union.station < torus.params.m)).any()
 
 
 def assert_column_runs(graph):
