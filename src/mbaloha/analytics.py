@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +26,14 @@ TRUNCATION_SAFE_FACTOR = 0.25
 _MAX_CANCELLATION_DIGITS = 12.0
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     """A truncated-series value clamped to [0, 1] with a diagnostic flag."""
 
     value: float
     clamped: bool
 
 
-@dataclass(frozen=True)
-class HeuristicResult:
+class HeuristicResult(NamedTuple):
     """Two-iteration peeling heuristic.
 
     sigma1: P(user uncollected after round 1 | active); rho1: P(a station
@@ -55,8 +53,7 @@ class HeuristicResult:
         return 1.0 - self.sigma2
 
 
-@dataclass(frozen=True)
-class FiniteBracket:
+class FiniteBracket(NamedTuple):
     """Theorem-style bracket on the unconditional collection probability."""
 
     lower: float

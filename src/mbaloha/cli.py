@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,13 +67,21 @@ class RunManifest:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then rename it over ``path``.
+
+    The file is created with mode 0o666 less the umask, as ``open`` would
+    create it.  A name that is taken, by a file a killed run left behind for
+    instance, is skipped for the next.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mbaloha-")
+    for attempt in itertools.count():
+        tmp = os.path.join(directory, f".mbaloha-{os.getpid()}-{attempt}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        # mkstemp creates the file 0600; give it the mode a plain open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -16,7 +16,6 @@ union of a block of masked copies of its edges.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +28,7 @@ BRUTE_FORCE_MAX_USERS = 20
 MASK_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class DecodingResult:
+class DecodingResult(NamedTuple):
     """Outcome of one decode: collected mask plus users collected per round."""
 
     collected: np.ndarray

@@ -20,9 +20,9 @@ every eps and both decoders at once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ class SweepConfig:
         return max(1, round(g * self.m / self.p))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a sweep; field names are the CSV column names."""
 
     G_realized: float
@@ -101,15 +100,27 @@ class SweepRow:
     clamp_flags: str
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+SWEEP_COLUMNS = SweepRow._fields
 
 
-@dataclass(frozen=True)
-class GBulletCell:
+class GBulletCell(NamedTuple):
     lam: float
     eps: float
     gbullet_noncoop: float
     gbullet_coop: float
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures`` process pool, imported on first use.
+
+    Only a run of more than one job opens a pool, so the import (with
+    ``multiprocessing``, ``socket`` and ``subprocess``) is left to it.
+    ``_run_jobs`` looks this name up when it calls it, so it can be replaced
+    by any executor with the same ``map`` and context manager.
+    """
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _run_jobs(work, items, weights, workers: int | None) -> np.ndarray:

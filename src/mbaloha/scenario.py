@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +78,7 @@ class NetworkInstance:
             raise ValueError("active must be a boolean mask of length n")
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     """Station x active-user decoding graph of one realization, as an edge list.
 
     Edge e joins station ``station[e]`` to column ``column[e]``; column j is

@@ -114,6 +114,50 @@ class TestTabulateCommand:
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o077, 0o600), (0o027, 0o640)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            cli._write_atomic(str(out), "text\n")
+        finally:
+            os.umask(old)
+        assert out.read_text(encoding="ascii") == "text\n"
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_never_sets_the_umask(self, tmp_path, monkeypatch):
+        set_umask = os.umask
+        old = set_umask(0o022)
+
+        def refuse(mask):
+            raise AssertionError("the process umask must not change")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        try:
+            cli._write_atomic(str(tmp_path / "out.txt"), "text\n")
+        finally:
+            set_umask(old)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o644
+
+    def test_skips_a_stale_temporary_file(self, tmp_path):
+        stale = tmp_path / f".mbaloha-{os.getpid()}-0"
+        stale.write_bytes(b"left by a killed run\n")
+        cli._write_atomic(str(tmp_path / "out.txt"), "text\n")
+        assert (tmp_path / "out.txt").read_text(encoding="ascii") == "text\n"
+        assert stale.read_bytes() == b"left by a killed run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.txt"]
+
+
+class TestImports:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # Only a run of more than one job opens a pool, so only it imports one.
+        code = "import sys, mbaloha.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+
 class TestSweepCommand:
     BASE = ["sweep", "--m", "10", "--p", "0.5", "--lambda", "0.7", "--runs", "4", "--k-max", "4"]
 

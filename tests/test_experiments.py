@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import DEFAULT_TABLE
 from laws import _pooled_ratio, moving_average3_reference
 from mbaloha import experiments
+from mbaloha.analytics import FiniteBracket, HeuristicResult, SeriesValue, heuristic_coop
+from mbaloha.decoders import DecodingResult
 from mbaloha.experiments import (
     SWEEP_COLUMNS,
+    GBulletCell,
     SweepConfig,
+    SweepRow,
     compare_report,
     estimate_gbullet,
     render_gbullet_csv,
@@ -15,6 +20,8 @@ from mbaloha.experiments import (
     sweep_load,
     tabulate_moments,
 )
+from mbaloha.geometry import MomentTable
+from mbaloha.scenario import BipartiteGraph, SystemParams, build_adjacency, generate_instance
 
 
 @pytest.fixture(scope="module")
@@ -354,3 +361,46 @@ class TestTabulateMoments:
         assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
         assert [j for job in jobs for j in job] == list(range(300))  # one item per placement
         assert np.array_equal(pooled.moments, serial.moments)
+
+
+class TestResultRecords:
+    """Result records are read-only NamedTuples; these pin what they expose."""
+
+    def test_sweep_columns_are_the_csv_header(self):
+        header = (
+            "G_realized,n,mc_prob_noncoop,mc_prob_noncoop_stderr,mc_prob_coop,mc_prob_coop_stderr,"
+            "mc_T_noncoop,mc_T_coop,analytic_prob_noncoop,analytic_prob_coop,lower_bound,clamp_flags"
+        )
+        assert ",".join(SWEEP_COLUMNS) == header
+        assert render_sweep_csv(sweep_load(small_config()), "x").splitlines()[1] == header
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            SeriesValue(0.5, False),
+            HeuristicResult(0.3, 0.2, 0.1, ()),
+            FiniteBracket(0.1, 0.2),
+            DecodingResult(np.zeros(2, dtype=bool), 0, []),
+            BipartiteGraph(1, 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+            SweepRow(*[0.0] * 11, ""),
+            GBulletCell(3.0, 0.1, 0.2, 0.3),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_fields_cannot_be_assigned(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0)
+
+    def test_heuristic_conditional(self):
+        # Values as the frozen-dataclass record gave them; the second is clamped.
+        alphas = MomentTable.load(DEFAULT_TABLE).first_moments[:34]
+        assert heuristic_coop(3.0, 0.6, alphas).conditional == 0.8857549389726399
+        clamped = heuristic_coop(6.0, 1.2, alphas)
+        assert clamped.clamped == ("sigma2",)
+        assert clamped.conditional == 1.0
+
+    def test_station_neighbors(self):
+        params = SystemParams(n=10, m=4, r=0.25, p=0.6)
+        graph = build_adjacency(generate_instance(params, np.random.default_rng(6)))
+        assert graph.users.tolist() == [0, 1, 2, 3, 4, 6, 7, 9]
+        assert graph.station_neighbors == [[0, 3, 4], [1], [2, 3, 9], [6]]
