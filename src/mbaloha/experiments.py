@@ -146,22 +146,20 @@ def _simulate_runs(slots) -> np.ndarray:
     """Worker: decode the given slots, in order.
 
     Slot ``(params, seed, run)`` is run ``run`` of the grid point with
-    ``params`` and draws from (seed, params.n, run).  The slots are decoded
-    ``RUN_BLOCK`` at a time, each block as one graph, the disjoint union of
-    its slots' graphs, whatever grid point or lambda they come from.
-    Returns one row per slot: the active users and the users collected by
-    each decoder.
+    ``params`` and draws from (seed, params.n, run).  The slots are drawn and
+    decoded ``RUN_BLOCK`` at a time: one ``generate_instance`` call draws a
+    block from the job's substreams, and one graph, the disjoint union of
+    its slots' graphs, decodes it, whatever grid point or lambda the slots
+    come from.  Returns one row per slot: the active users and the users
+    collected by each decoder.
     """
     counts = []
     streams = substreams((seed, params.n, run) for params, seed, run in slots)
     for start in range(0, len(slots), RUN_BLOCK):
-        # zip takes the slot first, so it draws no stream past the block.
-        block = [
-            generate_instance(params, rng) for (params, _, _), rng in zip(slots[start : start + RUN_BLOCK], streams)
-        ]
-        union = build_adjacency(*block)
+        block = tuple(params for params, _, _ in slots[start : start + RUN_BLOCK])
+        union = build_adjacency(generate_instance(block, streams))
         # The union's users are the slots' users in order, n per slot.
-        n_users = np.array([inst.params.n for inst in block])
+        n_users = np.array([params.n for params in block])
         ends = np.cumsum(n_users)
         offsets = ends - n_users
         counts.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -89,27 +90,63 @@ def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
     return np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
 
 
+def _word_layouts(items: list) -> Iterator[tuple[list[int] | np.ndarray, np.ndarray]]:
+    """Group the entropies ``items`` by their SeedSequence word layout.
+
+    Yields, per layout, the indices of its items and their uint32 words, one
+    row per item, held in uint64.  When every item is a tuple of one length
+    of Python ints below 2**64, the split runs on arrays, one layout per
+    pattern of the columns that take two words; otherwise each item is split
+    by ``_entropy_words``, one layout per word count.
+    """
+    flat = list(chain.from_iterable(items))
+    table = None
+    # Exactly int: a float or a numpy integer would be cast without a check.
+    if len(set(map(len, items))) == 1 and set(map(type, flat)) <= {int}:
+        try:
+            table = np.fromiter(flat, dtype=np.uint64, count=len(flat)).reshape(len(items), -1)
+        except OverflowError:  # a negative value, or one of 2**64 or more
+            pass
+    if table is None:
+        keys = [_entropy_words(e) for e in items]
+        layouts: dict[int, list[int]] = {}
+        for i, key in enumerate(keys):
+            layouts.setdefault(len(key), []).append(i)
+        for rows in layouts.values():
+            yield rows, np.array([keys[i] for i in rows], dtype=np.uint64)
+        return
+    wide = table > _MASK32
+    left = np.arange(len(items))
+    while left.size:
+        # The items of the first one's pattern, then the rest.
+        same = (wide[left] == wide[left[0]]).all(axis=1)
+        rows, left = left[same], left[~same]
+        part = table[rows]
+        words = []
+        for c, two in enumerate(wide[rows[0]].tolist()):
+            words.append(part[:, c] & np.uint64(_MASK32))
+            if two:
+                words.append(part[:, c] >> np.uint64(32))
+        yield rows, np.stack(words, axis=1)
+
+
 def substreams(entropies) -> Iterator[np.random.Generator]:
     """Yield, per entropy, the generator ``np.random.default_rng(np.random.SeedSequence(entropy))``.
 
     Each entropy is a sequence of nonnegative ints, such as (seed, n, run).
-    The SeedSequence hash runs on all entropies of one word count at once;
-    PCG64's seeding step then runs per item, and the public
-    ``bit_generator.state`` setter reseeds one generator for every item.  So
-    each yielded generator is valid only until the next one is drawn.
+    The entropies are split into uint32 words and the SeedSequence hash runs
+    on all entropies of one word layout at once; PCG64's seeding step then
+    runs per item, and the public ``bit_generator.state`` setter reseeds one
+    generator for every item.  So each yielded generator is valid only until
+    the next one is drawn.
     """
-    keys = [_entropy_words(e) for e in entropies]
-    seeds = [0] * len(keys)
-    layouts: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
-        layouts.setdefault(len(key), []).append(i)
-    for items in layouts.values():
-        words = np.array([keys[i] for i in items], dtype=np.uint64)
-        for i, row in zip(items, _seed_pcg_states(words).tolist()):
-            seeds[i] = row
+    items = list(entropies)
+    seeds = np.zeros((len(items), 4), dtype=np.uint64)
+    for rows, words in _word_layouts(items):
+        seeds[rows] = _seed_pcg_states(words)
     rng = np.random.default_rng(0)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for s0, s1, i0, i1 in seeds:
+    for s0, s1, i0, i1 in seeds.tolist():
         # pcg64_set_seed: state 0, one step, add the seed, one more step.
         inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
         state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}

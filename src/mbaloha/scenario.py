@@ -1,9 +1,11 @@
-"""One slot's network realization and the decoding graph of one or more slots.
+"""The network realization of one slot or of a block of slots, and its decoding graph.
 
 Users and base stations are placed uniformly in the unit square; each user
-is independently active with probability p.  The decoding graph links every
-station to the active users within distance r and is stored as an edge
-list: per edge, the station and the column of the active user it hears.
+is independently active with probability p.  ``generate_instance`` draws a
+block of slots straight into one set of arrays, each slot from its own
+generator.  The decoding graph links every station to the active users
+within distance r and is stored as an edge list: per edge, the station and
+the column of the active user it hears.
 ``build_adjacency`` builds the graph of a block of slots in one pass, as
 their disjoint union, so that many slots are decoded in one kernel call; it
 counts the stations per x-cell of each slot and finds each user's candidate
@@ -13,7 +15,9 @@ stations as the run of cells that spans its disk.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -58,20 +62,29 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class NetworkInstance:
-    """One slot's realization: positions plus the activation mask.
+    """The realization of one slot or of a block of slots: positions plus the activation mask.
 
-    Positions are stored as (n, 2) and (m, 2) float arrays.  They are not
-    checked against the unit square here: ``generate_instance`` draws inside
-    it, and ``parse_instance`` checks positions read from a file.
+    ``params`` is one slot's SystemParams, or a tuple of them for a block,
+    whose arrays hold its slots' arrays one after another, in slot order.
+    Positions are stored as (n, 2) and (m, 2) float arrays, with n and m
+    summed over the slots.  They are not checked against the unit square
+    here: ``generate_instance`` draws inside it, and ``parse_instance``
+    checks positions read from a file.
     """
 
-    params: SystemParams
+    params: SystemParams | tuple[SystemParams, ...]
     user_xy: np.ndarray
     station_xy: np.ndarray
     active: np.ndarray
 
+    @property
+    def slots(self) -> tuple[SystemParams, ...]:
+        """Each slot's SystemParams, in order."""
+        return self.params if isinstance(self.params, tuple) else (self.params,)
+
     def __post_init__(self) -> None:
-        n, m = self.params.n, self.params.m
+        n = sum(s.n for s in self.slots)
+        m = sum(s.m for s in self.slots)
         if self.user_xy.shape != (n, 2) or self.station_xy.shape != (m, 2):
             raise ValueError("position arrays do not match params")
         if self.active.shape != (n,) or self.active.dtype != np.bool_:
@@ -103,28 +116,57 @@ class BipartiteGraph(NamedTuple):
         return [heard[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def generate_instance(params: SystemParams, rng: np.random.Generator) -> NetworkInstance:
-    """Draw user positions, station positions, then the activation mask.
+def generate_instance(
+    params: SystemParams | tuple[SystemParams, ...], rng: np.random.Generator | Iterable[np.random.Generator]
+) -> NetworkInstance:
+    """Draw each slot's user positions, station positions, then its activation mask.
 
-    One call draws all 3n + 2m values.  The first 2(n + m) give the points,
-    x then y, as ``u - 1/2``: exactly what ``rng.uniform(-1/2, 1/2)`` returns
-    for the same u.  The last n give the mask as ``u < p``.  So the stream is
-    that of a ``uniform`` call for the points followed by a ``random`` call
-    for the mask.
+    ``params`` is one slot's SystemParams and ``rng`` its generator, or
+    ``params`` is a tuple of SystemParams, a block of slots, and ``rng``
+    yields one generator per slot, as ``geometry.substreams`` does.  A block
+    takes each generator after the slot before it has drawn, and none past
+    its last slot.
+
+    Each slot draws 3n + 2m values, straight into the block's arrays.  The
+    first 2(n + m) give the points, x then y, as ``u - 1/2``: exactly what
+    ``rng.uniform(-1/2, 1/2)`` returns for the same u.  The last n give the
+    mask as ``u < p``.  So a slot's stream is that of a ``uniform`` call for
+    the points followed by a ``random`` call for the mask.  ``random`` takes
+    one 64-bit output per value, so the three calls per slot, for its users,
+    its stations and its mask, draw what one call of 3n + 2m values would.
     """
-    n, m = params.n, params.m
-    u = rng.random(3 * n + 2 * m)
-    xy = (u[: 2 * (n + m)] - HALF_SIDE).reshape(n + m, 2)
-    return NetworkInstance(params, xy[:n], xy[n:], u[2 * (n + m) :] < params.p)
+    slots = params if isinstance(params, tuple) else (params,)
+    rngs = rng if isinstance(params, tuple) else (rng,)
+    n = [s.n for s in slots]
+    users = list(accumulate(n, initial=0))
+    stations = list(accumulate((s.m for s in slots), initial=0))
+    user_xy = np.empty((users[-1], 2))
+    station_xy = np.empty((stations[-1], 2))
+    u = np.empty(users[-1])
+    ux, sx = user_xy.reshape(-1), station_xy.reshape(-1)
+    drawn = 0
+    # zip takes the slot first, so it takes no generator past the block.
+    for a, a1, b, b1, g in zip(users, users[1:], stations, stations[1:], rngs):
+        g.random(out=ux[2 * a : 2 * a1])
+        g.random(out=sx[2 * b : 2 * b1])
+        g.random(out=u[a:a1])
+        drawn += 1
+    if drawn < len(slots):
+        raise ValueError(f"{len(slots)} slots but {drawn} generators")
+    user_xy -= HALF_SIDE
+    station_xy -= HALF_SIDE
+    return NetworkInstance(params, user_xy, station_xy, u < np.repeat([s.p for s in slots], n))
 
 
 def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     """Closed-disk test between the stations and active users of one or more slots.
 
-    Several slots give their disjoint union: the stations, users and columns
-    of ``instances[k]`` are offset by the totals of the slots before it, so
-    no edge joins two slots.  Peeling rounds are synchronous, so decoding the
-    union decodes each slot as on its own.
+    The slots are those of each instance in turn, a block of slots
+    (``NetworkInstance.slots``) or one.  Several slots give their disjoint
+    union: the stations, users and columns of each slot are offset by the
+    totals of the slots before it, so no edge joins two slots.  Peeling
+    rounds are synchronous, so decoding the union decodes each slot as on
+    its own.
 
     Each slot's x range is cut into cells of equal width, about
     ``_CELLS_PER_R`` per smallest r of the block but no more than its largest
@@ -141,11 +183,12 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     in column order, ``_PAIR_CHUNK`` candidate pairs at a time, so each
     column's edges form one run and the runs ascend.
     """
-    n_users = [inst.params.n for inst in instances]
-    n_stations = [inst.params.m for inst in instances]
-    radius = np.array([inst.params.r for inst in instances])
+    slots = [s for inst in instances for s in inst.slots]
+    n_users = [s.n for s in slots]
+    n_stations = [s.m for s in slots]
+    radius = np.array([s.r for s in slots])
     cells = min(math.ceil(_CELLS_PER_R / radius.min()), max(n_stations))
-    n_cells = len(instances) * cells
+    n_cells = len(slots) * cells
     first_cell = np.arange(0, n_cells, cells)
 
     def cell_of(x: np.ndarray) -> np.ndarray:
@@ -168,7 +211,7 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     active_per_slot = bounds[1:] - bounds[:-1]
     base = np.repeat(first_cell, active_per_slot)
     reach = np.repeat(radius + _ROUNDING_MARGIN, active_per_slot)
-    r2 = np.repeat([inst.params.r**2 for inst in instances], active_per_slot)
+    r2 = np.repeat([s.r**2 for s in slots], active_per_slot)
     lo = starts[base + cell_of(ux - reach)]
     counts = starts[base + cell_of(ux + reach) + 1] - lo
 

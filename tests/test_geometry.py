@@ -85,6 +85,16 @@ class TestSubstreams:
             for a, b in zip(draws, want):
                 assert a.tobytes() == b.tobytes(), entropy
 
+    def test_words_split_on_arrays_bit_identical_to_numpy_seeding(self):
+        # Entropies of one length, all plain ints below 2**64, are split into
+        # words on arrays: one and two words in each column, up to 2**64 - 1.
+        firsts = (0, 2**32 - 1, 2**32, 2**64 - 1, _gbullet_sub_seed(5, 3.0), _gbullet_sub_seed(20259, 6.0))
+        entropies = [(a, b, c) for a in firsts for b, c in ((40, 0), (2**33 + 5, 7), (400, 2**40))]
+        for i, (entropy, rng) in enumerate(zip(entropies, substreams(entropies))):
+            want = self._draws(np.random.default_rng(np.random.SeedSequence(entropy)), 5 + i, 2)
+            for a, b in zip(self._draws(rng, 5 + i, 2), want):
+                assert a.tobytes() == b.tobytes(), entropy
+
     @pytest.mark.parametrize("entropy", [(-1, 0, 0), (5, -2), (1.5, 3), (2, 0.0)])
     def test_negative_or_non_integer_entropy_rejected(self, entropy):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

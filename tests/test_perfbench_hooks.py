@@ -13,6 +13,8 @@ per-layer metric a value: a hooked function that is never called leaves a
 import functools
 import importlib.util
 import json
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -92,3 +94,22 @@ def test_traced_pass_of_every_command_has_no_empty_span(tmp_path, monkeypatch):
     tracer.write(spans, 1)
     metrics = perfbench_tracer.layer_table(spans, 0.0, [(0.0, 1.0)])
     json.dumps(metrics, allow_nan=False)
+
+
+def test_traced_sweep_records_one_draw_and_one_graph_per_block(tmp_path):
+    tracer = _load_tracer().Tracer()
+    grid, runs = (0.2, 0.4, 0.6), 100
+    blocks = math.ceil(len(grid) * runs / experiments.RUN_BLOCK)
+    assert blocks > 1
+    sweep = [
+        "sweep", "--threads", "1", "--m", "20", "--p", "0.25", "--lambda", "2",
+        "--grid", ",".join(map(str, grid)), "--runs", str(runs), "--no-analytic", "--out", str(tmp_path / "sweep.csv"),
+    ]
+    tracer.install()
+    try:
+        assert cli.main(sweep) == 0
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names)
+    assert spans[tracer.ids["scenario.generate_instance"]] == blocks
+    assert spans[tracer.ids["scenario.build_adjacency"]] == blocks

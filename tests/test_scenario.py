@@ -16,6 +16,7 @@ from laws import (
     user_degree_pmf,
 )
 from mbaloha.decoders import all_users_adjacency
+from mbaloha.geometry import substreams
 from mbaloha.scenario import (
     _CELLS_PER_R,
     _PAIR_CHUNK,
@@ -86,6 +87,64 @@ class TestGenerateInstance:
         # mean of binomial(1000, 0.25) within 3 standard errors of the mean
         se_mean = math.sqrt(1000 * 0.25 * 0.75) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 250) <= 3 * se_mean
+
+
+class TestBlockDraw:
+    """A block drawn by one ``generate_instance`` call holds, slot by slot,
+    what the one-slot draws from ``default_rng(SeedSequence([seed, n, run]))``
+    give, bit for bit."""
+
+    SEED = 20259
+
+    @classmethod
+    def _slots(cls):
+        # gbullet's four radii, n = 1, a slot with no active user and p = 1.
+        radii = [math.sqrt(lam / (100 * math.pi)) for lam in (2, 3, 4, 6)]
+        slots = [(SystemParams(n=40 + 90 * k, m=100, r=radii[k % 4], p=0.25), k) for k in range(8)]
+        slots.append((SystemParams(n=1, m=5, r=0.1, p=0.5), 3))
+        silent = SystemParams(n=3, m=2, r=0.2, p=0.05)
+        run = next(run for run in range(100) if not cls._one_slot(silent, run).active.any())
+        slots.append((silent, run))
+        slots.append((SystemParams(n=30, m=7, r=0.25, p=1.0), 0))
+        return slots
+
+    @classmethod
+    def _one_slot(cls, params, run):
+        return generate_instance(params, rng_from(cls.SEED, params.n, run))
+
+    @classmethod
+    def _streams(cls, slots):
+        return substreams((cls.SEED, params.n, run) for params, run in slots)
+
+    @staticmethod
+    def _assert_slots_equal(block, instances):
+        for field in ("user_xy", "station_xy", "active"):
+            want = np.concatenate([getattr(inst, field) for inst in instances])
+            assert getattr(block, field).tobytes() == want.tobytes(), field
+
+    def test_block_equals_one_slot_draws(self):
+        slots = self._slots()
+        params = tuple(one for one, _ in slots)
+        block = generate_instance(params, self._streams(slots))
+        assert block.params == params and block.slots == params
+        singles = [self._one_slot(one, run) for one, run in slots]
+        assert all(inst.slots == (one,) for inst, one in zip(singles, params))
+        self._assert_slots_equal(block, singles)
+        assert not singles[-2].active.any() and singles[-1].active.all()
+
+    def test_blocks_from_one_iterator_draw_no_stream_past_their_slots(self):
+        slots = self._slots()
+        params = tuple(one for one, _ in slots)
+        streams = self._streams(slots)
+        first = generate_instance(params[:4], streams)
+        second = generate_instance(params[4:], streams)
+        assert next(streams, None) is None
+        self._assert_slots_equal(generate_instance(params, self._streams(slots)), [first, second])
+
+    def test_fewer_generators_than_slots_rejected(self):
+        params = SystemParams(n=5, m=2, r=0.1, p=0.5)
+        with pytest.raises(ValueError, match="3 slots but 2 generators"):
+            generate_instance((params,) * 3, [rng_from(1), rng_from(2)])
 
 
 class TestBuildAdjacency:
