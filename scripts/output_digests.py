@@ -7,7 +7,9 @@ blocks have more than 2^16 station cells, two ``gbullet`` lines at the
 max-load edge cases (a lambda whose coverage 1 - e^-lambda is below 1 - eps
 for one eps, and a grid with only one point that has users), an ``oracle``
 line on a drawn n = 12, m = 5 instance, an ``oracle`` line with two masks,
-whose estimates are all 0, 1/2 or 1, and a ``tabulate`` line with 50 disks
+whose estimates are all 0, 1/2 or 1, an ``oracle`` line at the enumeration
+limit, n = 20, where no user is heard at seed 20259 and two are at the other
+seeds, and a ``tabulate`` line with 50 disks
 and two sample blocks per placement, at seeds 20259, 7 and 2^32 and at one and two worker processes,
 each as ``python -m mbaloha`` from the checkout's ``src/`` in a fresh
 temporary directory.  Every command prints one line per output: the sha256
@@ -81,6 +83,11 @@ COMMANDS = [
         "oracle_corner",
         ["oracle", "--n", "4", "--m", "2", "--r", "0.25", "--p", "0.5", "--masks", "2"],
         "oracle_corner.csv",
+    ),
+    (
+        "oracle_limit",
+        ["oracle", "--n", "20", "--m", "2", "--r", "0.1"],
+        "oracle_limit.csv",
     ),
     (
         "tabulate_k6",

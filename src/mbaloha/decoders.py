@@ -9,13 +9,16 @@ is written once, in ``_peel``, on the edges of one graph.  Components of a
 graph share no edge and every round is synchronous, so a graph that is the
 disjoint union of many decodes each of them exactly as on its own: a sweep
 decodes the union of many slots in one call, and the oracles that integrate
-both decoders over the 2^n activation masks of a fixed placement decode the
-union of a block of masked copies of its edges.
+both decoders over the activation masks of a fixed placement decode the
+union of a block of masked copies of its edges.  A user that no station
+hears has no edge, so it changes no decode: the oracles decode each pattern
+of the k heard users' activity once, 2^k decodes in place of 2^n.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -153,8 +156,7 @@ def all_users_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     Both oracles decode masked copies of this graph; build it once per
     placement and pass it to each.
     """
-    everyone = np.ones(instance.params.n, dtype=bool)
-    return build_adjacency(dataclasses.replace(instance, active=everyone))
+    return build_adjacency(dataclasses.replace(instance, active=np.ones_like(instance.active)))
 
 
 def _peel_masks(graph: BipartiteGraph, masks: np.ndarray) -> np.ndarray:
@@ -194,24 +196,38 @@ class CollectionProbabilities(NamedTuple):
     cooperative: np.ndarray
 
 
+def _check_users(n: int) -> None:
+    """Both oracles code an activation pattern as the bits of one int64, so n is bounded."""
+    if n > BRUTE_FORCE_MAX_USERS:
+        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_USERS}, got {n}")
+
+
 def brute_force_collection_probability(graph: BipartiteGraph, p: float) -> CollectionProbabilities:
-    """Exact P(user collected) by enumerating all 2^n activation masks.
+    """Exact P(user collected) over all 2^n activation masks.
 
     ``graph`` is ``all_users_adjacency`` of a placement and every user is
     active with probability ``p``: each subset S of users is weighted
-    p^|S| (1-p)^(n-|S|).  Masks are decoded in blocks of ``MASK_BLOCK``,
-    and per user the masks collecting it are counted exactly by subset size
-    before the weights are applied, so memory does not grow with 2^n.
+    p^|S| (1-p)^(n-|S|).  Only the 2^k activation patterns of the k heard
+    users are decoded: a pattern of j active heard users stands for the
+    C(n - k, s - j) masks of s active users that agree with it.  Patterns
+    are decoded in blocks of ``MASK_BLOCK``, and per user the masks
+    collecting it are counted exactly by subset size before the weights are
+    applied, so memory does not grow with 2^k.
     """
     n = graph.n_users
-    if n > BRUTE_FORCE_MAX_USERS:
-        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_USERS}, got {n}")
-    bits = 1 << np.arange(n)
+    _check_users(n)
+    heard = np.unique(graph.column)
+    k = heard.size
+    # lift[j, s]: full masks of s active users per pattern of j active heard users.
+    lift = np.array([[math.comb(n - k, s - j) if s >= j else 0 for s in range(n + 1)] for j in range(k + 1)], float)
+    bits = 1 << np.arange(k)
     # counts[d, s, u]: masks with s active users in which decoder d collects user u
     counts = 0.0
-    for lo in range(0, 1 << n, MASK_BLOCK):
-        masks = (np.arange(lo, min(lo + MASK_BLOCK, 1 << n))[:, None] & bits) != 0
-        counts = counts + _tally(graph, masks, np.eye(n + 1)[masks.sum(axis=1)])
+    for lo in range(0, 1 << k, MASK_BLOCK):
+        pattern = (np.arange(lo, min(lo + MASK_BLOCK, 1 << k))[:, None] & bits) != 0
+        masks = np.zeros((len(pattern), n), dtype=bool)
+        masks[:, heard] = pattern
+        counts = counts + _tally(graph, masks, lift[pattern.sum(axis=1)])
     sizes = np.arange(n + 1)
     weights = p**sizes * (1.0 - p) ** (n - sizes)
     return CollectionProbabilities(weights @ counts[0], weights @ counts[1])
@@ -229,16 +245,22 @@ def mask_monte_carlo(graph: BipartiteGraph, p: float, n_masks: int, seed: int) -
     """Estimate per-user collection probabilities over random activation masks.
 
     ``graph`` is ``all_users_adjacency`` of a placement and every user is
-    active with probability ``p``.  Masks are drawn and decoded
-    ``MASK_BLOCK`` at a time; the unconditional per-user estimate is (times
-    collected)/n_masks.
+    active with probability ``p``.  Masks are drawn ``MASK_BLOCK`` at a
+    time, and a block decodes one mask per distinct activation pattern of
+    the k heard users, weighted by the masks that share it: at most 2^k
+    decodes.  The unconditional per-user estimate is (times
+    collected)/n_masks.  n is limited as in the enumeration.
     """
     if n_masks < 1:
         raise ValueError(f"n_masks must be a positive integer, got {n_masks}")
+    _check_users(graph.n_users)
+    heard = np.unique(graph.column)
+    bits = 1 << np.arange(heard.size)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     hits = 0.0
     for lo in range(0, n_masks, MASK_BLOCK):
         masks = rng.random((min(MASK_BLOCK, n_masks - lo), graph.n_users)) < p
-        hits = hits + _tally(graph, masks, np.ones((len(masks), 1)))
+        _, first, repeats = np.unique(masks[:, heard] @ bits, return_index=True, return_counts=True)
+        hits = hits + _tally(graph, masks[first], repeats[:, None])
     ph_nc, ph_coop = hits[:, 0] / n_masks
     return MaskMonteCarlo(ph_nc, ph_coop, n_masks)

@@ -237,8 +237,13 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
 
 
 def dump_instance(instance: NetworkInstance) -> str:
-    """Plain-text fixture format: params header, user rows, station rows."""
+    """Plain-text fixture format: params header, user rows, station rows.
+
+    The header holds one slot's (n, m, r, p), so a block is rejected.
+    """
     p = instance.params
+    if isinstance(p, tuple):
+        raise ValueError("the instance format holds one slot, not a block")
     lines = [f"n {p.n}", f"m {p.m}", f"r {format(p.r, '.17g')}", f"p {format(p.p, '.17g')}"]
     for (x, y), a in zip(instance.user_xy, instance.active):
         lines.append(f"{format(x, '.17g')} {format(y, '.17g')} {int(a)}")

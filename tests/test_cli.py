@@ -427,7 +427,9 @@ class TestOutputDigests:
     analytic columns and an oracle run its finite-bracket line.  Two
     ``gbullet`` lines pin the max-load edge cases: a lambda whose coverage
     1 - e^-lambda is below 1 - eps for one eps, and a grid with only one
-    point that has users."""
+    point that has users.  Two oracle runs pin the decoding of the heard
+    users' activation patterns: 2 of 16 users are heard in one, all 10 in
+    the other."""
 
     CASES = [
         pytest.param(
@@ -494,6 +496,16 @@ class TestOutputDigests:
             ["oracle", "--n", "8", "--m", "3", "--moment-table", str(DEFAULT_TABLE)],
             "0a093cd7915b816f9c4500562a30573fa8606dc99d0b3a3e21477e85f094c3ec",
             id="oracle_bracket",
+        ),
+        pytest.param(
+            ["oracle", "--n", "16", "--m", "2", "--r", "0.1", "--masks", "20000", "--seed", "3"],
+            "79c7a03817a160afb1f735b51799a0f40a0b0cc1522fcc239a4f704462f46add",
+            id="oracle_two_of_16_heard",
+        ),
+        pytest.param(
+            ["oracle", "--n", "10", "--m", "20", "--r", "0.25", "--masks", "20000", "--seed", "3"],
+            "1209b48d1b2715679c60573b39a0aff5aeb119ca2f882eecb3e743476ae25cd1",
+            id="oracle_all_10_heard",
         ),
     ]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rng_from
+from oracles import enumerate_every_mask, monte_carlo_every_mask
 from mbaloha import decoders
 from mbaloha.decoders import (
     MASK_BLOCK,
@@ -404,3 +405,114 @@ class TestEnumerationBlocks:
         assert np.any((want > 0.0) & (want < params.p - 1e-9))
         assert np.allclose(exact.noncooperative, want, rtol=0, atol=1e-13)
         assert np.all(exact.cooperative >= exact.noncooperative - 1e-15)
+
+
+# (n, m, edges) of each of the benchmark's oracle instances.
+BENCHMARK_ORACLE_SHAPES = ((12, 5, 5), (12, 3, 3), (11, 4, 4), (11, 2, 2), (10, 5, 4), (10, 3, 2))
+
+
+def instance_with_edges(n, m, edges, seed):
+    """A drawn instance whose all-users graph has ``edges`` edges, r and p drawn as the benchmark draws them."""
+    for t in itertools.count():
+        rng = rng_from(seed, n, m, t)
+        params = SystemParams(n=n, m=m, r=float(rng.uniform(0.08, 0.25)), p=float(rng.uniform(0.15, 0.85)))
+        inst = generate_instance(params, rng)
+        if all_users_adjacency(inst).station.size == edges:
+            return inst
+
+
+def heard_users(graph):
+    return np.unique(graph.column).size
+
+
+class TestOraclesMatchPerMaskReferences:
+    """Both oracles decode one mask per activation pattern of the heard users;
+    their probabilities must equal, bit for bit, those of decoding every mask."""
+
+    @staticmethod
+    def assert_bit_identical(got, want):
+        for g, w in zip(got, want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def assert_matches(self, graph, p, n_masks=2 * MASK_BLOCK + 123, seed=17):
+        self.assert_bit_identical(brute_force_collection_probability(graph, p), enumerate_every_mask(graph, p))
+        self.assert_bit_identical(
+            mask_monte_carlo(graph, p, n_masks, seed), monte_carlo_every_mask(graph, p, n_masks, seed)
+        )
+
+    @staticmethod
+    def rows_decoded(monkeypatch):
+        """Rows of each ``_tally`` call the oracles make from now on."""
+        rows = []
+        tally = decoders._tally
+
+        def counting(graph, masks, groups):
+            rows.append(len(masks))
+            return tally(graph, masks, groups)
+
+        monkeypatch.setattr(decoders, "_tally", counting)
+        return rows
+
+    @pytest.mark.parametrize("n, m, edges", BENCHMARK_ORACLE_SHAPES)
+    def test_benchmark_shapes(self, n, m, edges):
+        inst = instance_with_edges(n, m, edges, 2201)
+        graph = all_users_adjacency(inst)
+        assert heard_users(graph) < n
+        self.assert_matches(graph, inst.params.p, n_masks=10_000)
+
+    def test_no_edges(self, monkeypatch):
+        # Users in one corner, stations in the opposite one: no user is heard.
+        inst = NetworkInstance(
+            SystemParams(n=6, m=2, r=0.25, p=0.4), np.full((6, 2), -0.5), np.full((2, 2), 0.5), np.ones(6, dtype=bool)
+        )
+        graph = all_users_adjacency(inst)
+        assert graph.station.size == 0
+        self.assert_matches(graph, inst.params.p)
+        rows = self.rows_decoded(monkeypatch)
+        exact = brute_force_collection_probability(graph, inst.params.p)
+        assert rows == [1] and not exact.noncooperative.any() and not exact.cooperative.any()
+
+    def test_every_user_heard(self):
+        # A station on every user: each is heard, and at r = 1/4 some hear several.
+        user_xy = rng_from(2202).uniform(-0.5, 0.5, (10, 2))
+        inst = NetworkInstance(SystemParams(n=10, m=10, r=0.25, p=0.35), user_xy, user_xy.copy(), np.ones(10, bool))
+        graph = all_users_adjacency(inst)
+        assert heard_users(graph) == 10
+        assert graph.station.size > 10
+        self.assert_matches(graph, inst.params.p)
+
+    @pytest.mark.parametrize("station_xy, heard", [([[0.1, 0.1]], 1), ([[-0.4, -0.4]], 0)], ids=["heard", "unheard"])
+    def test_one_user(self, station_xy, heard):
+        inst = NetworkInstance(
+            SystemParams(n=1, m=1, r=0.1, p=0.3), np.array([[0.1, 0.1]]), np.array(station_xy), np.ones(1, bool)
+        )
+        graph = all_users_adjacency(inst)
+        assert heard_users(graph) == heard
+        self.assert_matches(graph, inst.params.p)
+
+    def test_patterns_span_several_mask_blocks(self, monkeypatch):
+        for seed in itertools.count(2203):
+            graph = all_users_adjacency(generate_instance(SystemParams(n=15, m=12, r=0.15, p=0.3), rng_from(seed)))
+            if 13 <= heard_users(graph) < 15:
+                break
+        self.assert_matches(graph, 0.3)
+        rows = self.rows_decoded(monkeypatch)
+        brute_force_collection_probability(graph, 0.3)
+        assert len(rows) >= 2 and sum(rows) == 2 ** heard_users(graph)
+
+    def test_monte_carlo_block_of_one_pattern(self, monkeypatch):
+        # At p = 1 every mask of a block is the same: one decode per block.
+        graph = all_users_adjacency(generate_instance(SystemParams(n=9, m=4, r=0.2, p=1.0), rng_from(2204)))
+        assert heard_users(graph) > 0
+        self.assert_matches(graph, 1.0, n_masks=MASK_BLOCK + 7)
+        rows = self.rows_decoded(monkeypatch)
+        mask_monte_carlo(graph, 1.0, MASK_BLOCK + 7, 3)
+        assert rows == [1, 1]
+
+    def test_monte_carlo_shares_the_enumeration_user_limit(self):
+        graph = all_users_adjacency(generate_instance(SystemParams(n=21, m=2, r=0.1, p=0.5), rng_from(0)))
+        with pytest.raises(ValueError, match="n <= 20, got 21"):
+            mask_monte_carlo(graph, 0.5, n_masks=10, seed=1)
+        at_limit = all_users_adjacency(generate_instance(SystemParams(n=20, m=2, r=0.1, p=0.5), rng_from(0)))
+        assert mask_monte_carlo(at_limit, 0.5, n_masks=10, seed=1).prob_coop.shape == (20,)

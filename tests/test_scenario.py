@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,6 +141,16 @@ class TestBlockDraw:
         second = generate_instance(params[4:], streams)
         assert next(streams, None) is None
         self._assert_slots_equal(generate_instance(params, self._streams(slots)), [first, second])
+
+    def test_all_users_adjacency_of_a_block(self):
+        slots = ((SystemParams(n=6, m=3, r=0.2, p=0.3), 1), (SystemParams(n=4, m=2, r=0.25, p=0.5), 2))
+        block = generate_instance(tuple(one for one, _ in slots), self._streams(slots))
+        singles = [self._one_slot(one, run) for one, run in slots]
+        everyone = [dataclasses.replace(inst, active=np.ones(inst.params.n, bool)) for inst in singles]
+        got, want = all_users_adjacency(block), build_adjacency(*everyone)
+        assert (got.n_stations, got.n_users) == (want.n_stations, want.n_users) == (5, 10)
+        for field in ("users", "station", "column"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_fewer_generators_than_slots_rejected(self):
         params = SystemParams(n=5, m=2, r=0.1, p=0.5)
@@ -554,6 +565,12 @@ class TestInstanceIO:
         assert np.array_equal(back.user_xy, inst.user_xy)
         assert np.array_equal(back.station_xy, inst.station_xy)
         assert np.array_equal(back.active, inst.active)
+
+    def test_block_rejected(self):
+        params = SystemParams(n=2, m=1, r=0.1, p=0.5)
+        block = generate_instance((params, params), [rng_from(1), rng_from(2)])
+        with pytest.raises(ValueError, match="one slot"):
+            dump_instance(block)
 
     def test_malformed_rejected(self):
         params = SystemParams(n=2, m=1, r=0.1, p=0.5)
