@@ -107,7 +107,10 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             raise ValueError(f"grid start, stop and step must be finite, got {spec!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        steps = (stop - start) / step + 0.5
+        if not math.isfinite(steps):
+            raise ValueError(f"grid range spans too many steps, got {spec!r}")
+        count = int(math.floor(steps)) + 1
         return tuple(round(start + i * step, 12) for i in range(count))
     return tuple(float(v) for v in spec.split(","))
 

@@ -13,7 +13,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -154,13 +153,6 @@ def substreams(entropies) -> Iterator[np.random.Generator]:
         yield rng
 
 
-class AreaEstimate(NamedTuple):
-    """Monte Carlo estimates; entry j-1 is for the union of the first j disks."""
-
-    alpha: np.ndarray
-    stderr: np.ndarray
-
-
 def _centers_array(centers) -> np.ndarray:
     arr = np.asarray(centers, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
@@ -171,13 +163,14 @@ def _centers_array(centers) -> np.ndarray:
     return arr
 
 
-def disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> AreaEstimate:
-    """Estimate area(union of the first j unit disks at ``centers``) / pi for every j.
+def disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte Carlo area(union of the first j unit disks at ``centers``) / pi
+    for every j, as entry j-1 of the returned array.
 
     Sampling is uniform over the square [-2, 2]^2, which contains every
     admissible union.  Squared distances have one row per disk; a running OR
     down the rows counts the points in each prefix union, nondecreasing in j.
-    Hit fractions are rescaled by 16/pi and returned with binomial stderrs.
+    Hit fractions are rescaled by 16/pi.
     """
     arr = _centers_array(centers)
     if n_samples < 1:
@@ -202,9 +195,7 @@ def disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> AreaEs
             covered |= inside
             hits[j] += np.count_nonzero(covered)
         remaining -= block
-    frac = hits / n_samples
-    scale = 16.0 / math.pi
-    return AreaEstimate(scale * frac, scale * np.sqrt(frac * (1.0 - frac) / n_samples))
+    return 16.0 / math.pi * (hits / n_samples)
 
 
 def sample_unit_disk(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -331,5 +322,5 @@ def placement_alphas(seed: int, k_max: int, samples: int, placements) -> np.ndar
     """
     rows = []
     for rng in substreams((seed, j) for j in placements):
-        rows.append(disk_union_area(sample_unit_disk(rng, k_max), samples, rng).alpha[1:])
+        rows.append(disk_union_area(sample_unit_disk(rng, k_max), samples, rng)[1:])
     return np.array(rows)

@@ -1,5 +1,7 @@
+import importlib.util
 import os
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -13,6 +15,21 @@ settings.load_profile("ci")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TABLE = REPO_ROOT / "data" / "moments_k50_s250.txt"
+
+
+def load_perfbench(name: str) -> ModuleType:
+    """A fresh copy of ``perfbench/<name>.py``, loaded by path: ``perfbench``
+    is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The one copy of the exact references that the benchmark checks its runs
+# against: quadrature first moments, inclusion-exclusion over a user's
+# stations and the dense all-pairs adjacency.
+references = load_perfbench("references")
 
 
 def rng_from(*material: int) -> np.random.Generator:

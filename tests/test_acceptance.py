@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import DEFAULT_TABLE, first_moment_stderr, rng_from, workers
+from conftest import DEFAULT_TABLE, first_moment_stderr, references, rng_from, workers
 from laws import lambda_min, single_station
 from mbaloha.analytics import collection_prob_noncoop_asymptotic, heuristic_coop, lower_bound_noncoop
 from mbaloha.cli import DEFAULT_SEED
@@ -28,7 +28,6 @@ from mbaloha.decoders import (
 from mbaloha.experiments import SweepConfig, estimate_gbullet, sweep_load, tabulate_moments
 from mbaloha.geometry import MomentTable
 from mbaloha.scenario import SystemParams, generate_instance
-from test_analytics import quadrature_mean_alpha
 from topologies import ten_user_showcase
 
 ACCEPT_SEED = DEFAULT_SEED
@@ -326,7 +325,7 @@ def test_criterion_10_moment_table_properties(shipped_table):
         and np.all(first <= 4.0)
         and np.all(np.diff(first) >= 0.0)
     )
-    oracle = quadrature_mean_alpha(2)
+    oracle = references.alpha_first_moment(2)
     fresh = tabulate_moments(
         k_max=2, s_max=2, placements_per_k=4000, samples_per_placement=30000,
         seed=ACCEPT_SEED + 1, workers=workers(),

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import optimize
 
-from conftest import first_moment_stderr, rng_from
+from conftest import first_moment_stderr, references, rng_from
 from laws import g_bullet, g_bullet_from_values, moving_average3_reference, single_station, throughput
 from mbaloha.analytics import (
     collection_prob_noncoop_asymptotic,
@@ -20,22 +20,10 @@ from mbaloha.scenario import NetworkInstance, SystemParams
 from points import uniform_points
 
 
-def _lens(t: float) -> float:
-    if t >= 2.0:
-        return 0.0
-    return 2.0 * math.acos(t / 2.0) - (t / 2.0) * math.sqrt(4.0 - t * t)
-
-
-def quadrature_mean_alpha(k: int) -> float:
-    """Independent oracle: E[alpha_k] = 2 int_0^2 t (1-(1-lens(t)/pi)^k) dt."""
-    f = lambda t: 2.0 * t * (1.0 - (1.0 - _lens(t) / math.pi) ** k)
-    return integrate.quad(f, 0, 2, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-
-
 @pytest.fixture(scope="session")
 def quad_alphas() -> np.ndarray:
     """First moments from quadrature: exact, monotone, k up to 80."""
-    alphas = np.array([quadrature_mean_alpha(k) for k in range(1, 81)])
+    alphas = np.array([references.alpha_first_moment(k) for k in range(1, 81)])
     alphas[0] = 1.0
     return alphas
 
@@ -332,6 +320,6 @@ class TestMomentOracleAgreement:
     def test_tabulated_first_moments_match_quadrature(self, tiny_table):
         stderrs = first_moment_stderr(tiny_table)
         for k in range(2, tiny_table.k_max + 1):
-            exact = quadrature_mean_alpha(k)
+            exact = references.alpha_first_moment(k)
             se = stderrs[k - 1]
             assert abs(tiny_table.moments[k - 1, 0] - exact) <= 4 * se

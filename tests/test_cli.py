@@ -216,8 +216,9 @@ class TestSweepCommand:
             (["--grid", "0.2", "--lambda", "nan"], "lambda_target must be positive"),
             (["--grid", "0:inf:0.1"], "grid start, stop and step must be finite"),
             (["--grid", "0:nan:0.1"], "grid start, stop and step must be finite"),
+            (["--grid", "0:1:1e-320"], "grid range spans too many steps"),
         ],
-        ids=["nan_load", "nan_lambda", "inf_grid_stop", "nan_grid_stop"],
+        ids=["nan_load", "nan_lambda", "inf_grid_stop", "nan_grid_stop", "inf_grid_steps"],
     )
     def test_nan_rejected_before_simulation(self, flags, message):
         res = run_cli(*self.BASE, *flags, "--no-analytic")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rng_from
+from conftest import references, rng_from
 from oracles import enumerate_every_mask, monte_carlo_every_mask
 from mbaloha import decoders
 from mbaloha.decoders import (
@@ -373,26 +373,6 @@ class TestDisjointUnion:
         assert nc_union.per_iteration_collected == [sum(int(nc.collected.sum()) for nc in ncs)]
 
 
-def noncoop_inclusion_exclusion(adj: np.ndarray, p: float) -> np.ndarray:
-    """P(user collected by a single round) from inclusion-exclusion over its stations.
-
-    User u is collected iff it is active and some station of u hears no other
-    active user: the union over u's stations l of the events "every other
-    user heard by l is inactive".
-    """
-    out = np.zeros(adj.shape[1])
-    for u in range(adj.shape[1]):
-        stations = np.flatnonzero(adj[:, u]).tolist()
-        terms = []
-        for size in range(1, len(stations) + 1):
-            for subset in itertools.combinations(stations, size):
-                others = adj[list(subset)].any(axis=0)
-                others[u] = False
-                terms.append((-1) ** (size + 1) * (1.0 - p) ** int(others.sum()))
-        out[u] = p * math.fsum(terms)
-    return out
-
-
 class TestEnumerationBlocks:
     def test_multi_block_enumeration_matches_inclusion_exclusion(self):
         params = SystemParams(n=14, m=5, r=0.25, p=0.4)
@@ -400,7 +380,7 @@ class TestEnumerationBlocks:
         inst = generate_instance(params, rng_from(1414))
         adj = incidence(build_adjacency(dataclasses.replace(inst, active=np.ones(params.n, bool))))
         exact = brute_force_collection_probability(all_users_adjacency(inst), inst.params.p)
-        want = noncoop_inclusion_exclusion(adj, params.p)
+        want = references.noncoop_collection_probability(adj, params.p)
         # some users interfere: collected with probability strictly between 0 and p
         assert np.any((want > 0.0) & (want < params.p - 1e-9))
         assert np.allclose(exact.noncooperative, want, rtol=0, atol=1e-13)

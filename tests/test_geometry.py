@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import rng_from
 from mbaloha.experiments import tabulate_moments
 from mbaloha.geometry import (
-    AreaEstimate,
     MomentTable,
     MomentTableError,
     disk_union_area,
@@ -124,18 +123,25 @@ class TestIsAdjacent:
         assert is_adjacent((ux, uy), (bx, by), r) == is_adjacent((bx, by), (ux, uy), r)
 
 
+def binomial_stderr(alpha: float, n_samples: int) -> float:
+    """Standard error of a ``disk_union_area`` estimate from ``n_samples``
+    points: 16/pi sqrt(f (1 - f) / n) for the hit fraction f = alpha pi / 16."""
+    frac = alpha * math.pi / 16.0
+    return 16.0 / math.pi * math.sqrt(frac * (1.0 - frac) / n_samples)
+
+
 class TestDiskUnionArea:
     def test_single_disk(self):
-        est = disk_union_area([(0.0, 0.0)], 200_000, rng_from(1))
-        assert abs(est.alpha[-1] - 1.0) <= 3 * est.stderr[-1]
+        alpha = disk_union_area([(0.0, 0.0)], 200_000, rng_from(1))
+        assert abs(alpha[-1] - 1.0) <= 3 * binomial_stderr(alpha[-1], 200_000)
 
     def test_coincident_pair(self):
-        est = disk_union_area([(0.3, 0.1), (0.3, 0.1)], 200_000, rng_from(2))
-        assert abs(est.alpha[-1] - 1.0) <= 3 * est.stderr[-1]
+        alpha = disk_union_area([(0.3, 0.1), (0.3, 0.1)], 200_000, rng_from(2))
+        assert abs(alpha[-1] - 1.0) <= 3 * binomial_stderr(alpha[-1], 200_000)
 
     def test_two_circles_distance_one(self):
-        est = disk_union_area([(-0.5, 0.0), (0.5, 0.0)], 400_000, rng_from(3))
-        assert abs(est.alpha[-1] - TWO_CIRCLES_DIST1) <= 3 * est.stderr[-1]
+        alpha = disk_union_area([(-0.5, 0.0), (0.5, 0.0)], 400_000, rng_from(3))
+        assert abs(alpha[-1] - TWO_CIRCLES_DIST1) <= 3 * binomial_stderr(alpha[-1], 400_000)
 
     def test_empty_centers_rejected(self):
         with pytest.raises(ValueError):
@@ -153,13 +159,8 @@ class TestDiskUnionArea:
         rotated = disk_union_area(centers @ rot.T, 300_000, rng_from(5))
         shifted = disk_union_area(centers + np.array([0.05, -0.08]), 300_000, rng_from(6))
         for other in (rotated, shifted):
-            combined = math.hypot(base.stderr[-1], other.stderr[-1])
-            assert abs(base.alpha[-1] - other.alpha[-1]) <= 4 * combined
-
-    def test_reported_stderr_is_binomial(self):
-        est = disk_union_area([(0.0, 0.0)], 10_000, rng_from(7))
-        frac = est.alpha[-1] * math.pi / 16.0
-        assert est.stderr[-1] == pytest.approx(16 / math.pi * math.sqrt(frac * (1 - frac) / 10_000))
+            combined = math.hypot(binomial_stderr(base[-1], 300_000), binomial_stderr(other[-1], 300_000))
+            assert abs(base[-1] - other[-1]) <= 4 * combined
 
     def test_prefix_unions_match_independent_recount(self):
         # 150,000 samples span three 2^16-point blocks of the kernel's stream.
@@ -176,9 +177,9 @@ class TestDiskUnionArea:
             for j in range(1, len(centers) + 1):
                 hits[j - 1] += int(covered[:, :j].any(axis=1).sum())
             remaining -= block
-        assert len(est.alpha) == len(est.stderr) == len(centers)
-        np.testing.assert_allclose(est.alpha, 16.0 / math.pi * hits / n, rtol=0.0, atol=1e-12)
-        assert np.all(np.diff(est.alpha) >= 0.0)
+        assert len(est) == len(centers)
+        np.testing.assert_allclose(est, 16.0 / math.pi * hits / n, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(est) >= 0.0)
 
     @pytest.mark.parametrize(
         "centers, n",
@@ -201,11 +202,10 @@ class TestDiskUnionArea:
     def test_bit_identical_to_reference_kernel(self, centers, n):
         est = disk_union_area(centers, n, rng_from(12))
         ref = reference_disk_union_area(centers, n, rng_from(12))
-        assert np.array_equal(est.alpha, ref.alpha)
-        assert np.array_equal(est.stderr, ref.stderr)
+        assert np.array_equal(est, ref)
 
 
-def reference_disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> AreaEstimate:
+def reference_disk_union_area(centers, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """The first-covering-disk tally written as separate steps: product, then
     the -2 scaling, row sums of squares, and an explicit no-hit case.  Same
     stream and block size as ``disk_union_area``, which must match it exactly."""
@@ -225,9 +225,7 @@ def reference_disk_union_area(centers, n_samples: int, rng: np.random.Generator)
         first = np.where(inside.any(axis=1), inside.argmax(axis=1), k)
         first_hits += np.bincount(first, minlength=k + 1)
         remaining -= block
-    scale = 16.0 / math.pi
-    frac = np.cumsum(first_hits[:k]) / n_samples
-    return AreaEstimate(scale * frac, scale * np.sqrt(frac * (1.0 - frac) / n_samples))
+    return 16.0 / math.pi * (np.cumsum(first_hits[:k]) / n_samples)
 
 
 class TestSampleUnitDisk:

@@ -11,27 +11,19 @@ per-layer metric a value: a hooked function that is never called leaves a
 """
 
 import functools
-import importlib.util
 import json
 import math
 from collections import Counter
 
 import numpy as np
 
-from conftest import DEFAULT_TABLE, REPO_ROOT
+from conftest import DEFAULT_TABLE, load_perfbench
 from mbaloha import cli, experiments
 from mbaloha.scenario import SystemParams, dump_instance, generate_instance
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_sweep_and_oracle_record_counters(tmp_path):
-    tracer = _load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
         sweep = [
@@ -50,7 +42,7 @@ def test_traced_sweep_and_oracle_record_counters(tmp_path):
 
 
 def test_traced_tabulate_counts_area_point_tests(tmp_path):
-    tracer = _load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
         tabulate = [
@@ -65,7 +57,7 @@ def test_traced_tabulate_counts_area_point_tests(tmp_path):
 
 
 def test_traced_pass_of_every_command_has_no_empty_span(tmp_path, monkeypatch):
-    perfbench_tracer = _load_tracer()
+    perfbench_tracer = load_perfbench("tracer")
     tracer = perfbench_tracer.Tracer()
     # The benchmark's host runs pool jobs in this process, as here.
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(perfbench_tracer.InlineExecutor, tracer))
@@ -97,7 +89,7 @@ def test_traced_pass_of_every_command_has_no_empty_span(tmp_path, monkeypatch):
 
 
 def test_traced_sweep_records_one_draw_and_one_graph_per_block(tmp_path):
-    tracer = _load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     grid, runs = (0.2, 0.4, 0.6), 100
     blocks = math.ceil(len(grid) * runs / experiments.RUN_BLOCK)
     assert blocks > 1

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
-from conftest import rng_from
+from conftest import references, rng_from
 from laws import (
     lambda_min,
     nominal_station_mask,
@@ -204,13 +204,7 @@ class TestBuildAdjacency:
     def _check_against_bruteforce(inst, graph):
         # independent O(n*m) recheck straight from is_adjacent
         assert graph.users.tolist() == np.flatnonzero(inst.active).tolist()
-        expected = np.array(
-            [
-                [is_adjacent(inst.user_xy[i], inst.station_xy[l], inst.params.r) for i in graph.users]
-                for l in range(inst.params.m)
-            ],
-            dtype=bool,
-        ).reshape(inst.params.m, graph.users.size)
+        expected = all_pairs_incidence([inst])
         assert len(set(zip(graph.station.tolist(), graph.column.tolist()))) == graph.station.size
         assert np.array_equal(incidence(graph), expected)
         for l, nbrs in enumerate(graph.station_neighbors):
@@ -295,19 +289,13 @@ class TestBlockAdjacency:
         assert (union.station >= union.n_stations - instances[-1].params.m).any()
 
 
-def dense_incidence(instances) -> np.ndarray:
-    """Dense station x column incidence of the instances side by side, one
-    numpy all-pairs test per slot with the kernel's own float expression."""
-    dense = np.zeros((sum(i.params.m for i in instances), sum(int(i.active.sum()) for i in instances)), dtype=bool)
-    row = col = 0
-    for inst in instances:
-        ux, uy = inst.user_xy[inst.active].T
-        sx, sy = inst.station_xy.T
-        dx, dy = sx[:, None] - ux, sy[:, None] - uy
-        block = dx * dx + dy * dy <= inst.params.r**2
-        dense[row : row + block.shape[0], col : col + block.shape[1]] = block
-        row, col = row + block.shape[0], col + block.shape[1]
-    return dense
+def dense_block_diagonal(instances) -> np.ndarray:
+    """Dense station x column incidence of the instances side by side: the
+    benchmark's numpy all-pairs matrix of each slot's active users, one
+    diagonal block per slot."""
+    return linalg.block_diag(
+        *(references.dense_adjacency(i.station_xy, i.user_xy[i.active], i.params.r) for i in instances)
+    )
 
 
 def cells_per_slot(instances) -> int:
@@ -336,7 +324,7 @@ class TestCellWindows:
         rng = rng_from(1803)
         params = [SystemParams(n=400, m=100, r=math.sqrt(lam / (100 * math.pi)), p=0.25) for lam in (2, 3, 4, 6)]
         instances = [generate_instance(params[k % 4], rng) for k in range(128)]
-        assert self._check(instances, dense_incidence).station.size > 2 * _PAIR_CHUNK
+        assert self._check(instances, dense_block_diagonal).station.size > 2 * _PAIR_CHUNK
 
     @pytest.mark.parametrize("r", [0.125, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
     def test_window_ends_on_cell_edges(self, r):
@@ -361,7 +349,7 @@ class TestCellWindows:
         instances = [generate_instance(SystemParams(n=30, m=2000, r=r, p=0.5), rng) for _ in range(127)]
         instances.append(boundary_instance(r))
         assert len(instances) * cells_per_slot(instances) > 2**16
-        union = self._check(instances, dense_incidence)
+        union = self._check(instances, dense_block_diagonal)
         assert (union.station >= union.n_stations - instances[-1].params.m).sum() > 0
         assert (union.station < union.n_stations - instances[-1].params.m).sum() > 100
 
