@@ -9,10 +9,11 @@ for one eps, and a grid with only one point that has users), an ``oracle``
 line on a drawn n = 12, m = 5 instance, an ``oracle`` line with two masks,
 whose estimates are all 0, 1/2 or 1, an ``oracle`` line at the enumeration
 limit, n = 20, where no user is heard at seed 20259 and two are at the other
-seeds, and a ``tabulate`` line with 50 disks
-and two sample blocks per placement, at seeds 20259, 7 and 2^32 and at one and two worker processes,
-each as ``python -m mbaloha`` from the checkout's ``src/`` in a fresh
-temporary directory.  Every command prints one line per output: the sha256
+seeds, and a ``tabulate`` line with 50 disks and two sample blocks per
+placement, at seeds 20259, 7 and 2^32.  A small ``sweep`` line runs at seed
+2^64 only, whose entropies numpy's own ``SeedSequence`` hashes.  Each runs
+at one and two worker processes, as ``python -m mbaloha`` from the
+checkout's ``src/`` in a fresh temporary directory.  Every command prints one line per output: the sha256
 of each output file, of stdout and of stderr, and the exit code.  Run it
 once on each of two checkouts and ``diff`` the two listings to see whether a
 change kept the command line's outputs byte-identical:
@@ -106,6 +107,17 @@ COMMANDS = [
     ),
 ]
 
+# (label, arguments, output file, seed): lines run at one seed only.
+SINGLE_SEED = [
+    (
+        "sweep_seed_2_64",
+        ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
+         "--no-analytic"],
+        "sweep_seed_2_64.csv",
+        2**64,
+    ),
+]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -120,24 +132,24 @@ def main() -> int:
     args = parser.parse_args()
     checkout = args.checkout.resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    for seed in SEEDS:
-        for threads in THREADS:
-            for label, argv, out in COMMANDS:
-                name = f"{label} seed={seed} threads={threads}"
-                # Relative paths keep the outputs, which name their files,
-                # the same in every directory.
-                with tempfile.TemporaryDirectory() as workdir:
-                    shutil.copyfile(checkout / "data" / "moments_k50_s250.txt", Path(workdir) / TABLE)
-                    res = subprocess.run(
-                        [sys.executable, "-m", "mbaloha", *argv,
-                         "--seed", str(seed), "--threads", str(threads), "--out", out],
-                        cwd=workdir, env=env, capture_output=True,
-                    )
-                    path = Path(workdir) / out
-                    print(f"{name} {out} {_sha256(path.read_bytes()) if path.exists() else 'missing'}")
-                print(f"{name} stdout {_sha256(res.stdout)}")
-                print(f"{name} stderr {_sha256(res.stderr)}")
-                print(f"{name} exit {res.returncode}", flush=True)
+    runs = [(seed, threads, *command) for seed in SEEDS for threads in THREADS for command in COMMANDS]
+    runs += [(seed, threads, label, argv, out) for label, argv, out, seed in SINGLE_SEED for threads in THREADS]
+    for seed, threads, label, argv, out in runs:
+        name = f"{label} seed={seed} threads={threads}"
+        # Relative paths keep the outputs, which name their files,
+        # the same in every directory.
+        with tempfile.TemporaryDirectory() as workdir:
+            shutil.copyfile(checkout / "data" / "moments_k50_s250.txt", Path(workdir) / TABLE)
+            res = subprocess.run(
+                [sys.executable, "-m", "mbaloha", *argv,
+                 "--seed", str(seed), "--threads", str(threads), "--out", out],
+                cwd=workdir, env=env, capture_output=True,
+            )
+            path = Path(workdir) / out
+            print(f"{name} {out} {_sha256(path.read_bytes()) if path.exists() else 'missing'}")
+        print(f"{name} stdout {_sha256(res.stdout)}")
+        print(f"{name} stderr {_sha256(res.stderr)}")
+        print(f"{name} exit {res.returncode}", flush=True)
     return 0
 
 

@@ -9,6 +9,7 @@ failing run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import math
@@ -311,7 +312,9 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse fills a new namespace."""
     parser = _Parser(prog="mbaloha", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mbaloha {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)

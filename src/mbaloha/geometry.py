@@ -36,19 +36,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _entropy_words(entropy) -> tuple[int, ...]:
-    """The uint32 words SeedSequence takes from a sequence of nonnegative ints."""
-    words = []
-    for v in entropy:
-        if not isinstance(v, (int, np.integer)) or v < 0:
-            raise ValueError("seed must be nonnegative")
-        v = int(v)
-        words.append(v & _MASK32)
-        while v := v >> 32:
-            words.append(v & _MASK32)
-    return tuple(words)
-
-
 def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(w).generate_state(4, uint64)`` for each row ``w`` of ``words``.
 
@@ -89,14 +76,14 @@ def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
     return np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
 
 
-def _word_layouts(items: list) -> Iterator[tuple[list[int] | np.ndarray, np.ndarray]]:
-    """Group the entropies ``items`` by their SeedSequence word layout.
+def _pcg_seeds(items: list) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, uint64)`` for each entropy ``e`` of ``items``, one row each.
 
-    Yields, per layout, the indices of its items and their uint32 words, one
-    row per item, held in uint64.  When every item is a tuple of one length
-    of Python ints below 2**64, the split runs on arrays, one layout per
-    pattern of the columns that take two words; otherwise each item is split
-    by ``_entropy_words``, one layout per word count.
+    When every item is a tuple of one length of Python ints below 2**64, as
+    every entropy is that the commands build from a seed below 2**64, the
+    items are split into uint32 words on arrays, one pass of the hash per
+    pattern of the columns that take two words.  Any other batch is seeded
+    by numpy's own SeedSequence, item by item.
     """
     flat = list(chain.from_iterable(items))
     table = None
@@ -107,13 +94,11 @@ def _word_layouts(items: list) -> Iterator[tuple[list[int] | np.ndarray, np.ndar
         except OverflowError:  # a negative value, or one of 2**64 or more
             pass
     if table is None:
-        keys = [_entropy_words(e) for e in items]
-        layouts: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            layouts.setdefault(len(key), []).append(i)
-        for rows in layouts.values():
-            yield rows, np.array([keys[i] for i in rows], dtype=np.uint64)
-        return
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for e in items for v in e):
+            raise ValueError("seed must be nonnegative")
+        states = [np.random.SeedSequence(e).generate_state(4, np.uint64) for e in items]
+        return np.array(states, dtype=np.uint64).reshape(-1, 4)
+    seeds = np.empty((len(items), 4), dtype=np.uint64)
     wide = table > _MASK32
     left = np.arange(len(items))
     while left.size:
@@ -126,26 +111,22 @@ def _word_layouts(items: list) -> Iterator[tuple[list[int] | np.ndarray, np.ndar
             words.append(part[:, c] & np.uint64(_MASK32))
             if two:
                 words.append(part[:, c] >> np.uint64(32))
-        yield rows, np.stack(words, axis=1)
+        seeds[rows] = _seed_pcg_states(np.stack(words, axis=1))
+    return seeds
 
 
 def substreams(entropies) -> Iterator[np.random.Generator]:
     """Yield, per entropy, the generator ``np.random.default_rng(np.random.SeedSequence(entropy))``.
 
     Each entropy is a sequence of nonnegative ints, such as (seed, n, run).
-    The entropies are split into uint32 words and the SeedSequence hash runs
-    on all entropies of one word layout at once; PCG64's seeding step then
-    runs per item, and the public ``bit_generator.state`` setter reseeds one
-    generator for every item.  So each yielded generator is valid only until
-    the next one is drawn.
+    ``_pcg_seeds`` gives every entropy's four SeedSequence words; PCG64's
+    seeding step then runs per item, and the public ``bit_generator.state``
+    setter reseeds one generator for every item.  So each yielded generator
+    is valid only until the next one is drawn.
     """
-    items = list(entropies)
-    seeds = np.zeros((len(items), 4), dtype=np.uint64)
-    for rows, words in _word_layouts(items):
-        seeds[rows] = _seed_pcg_states(words)
     rng = np.random.default_rng(0)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for s0, s1, i0, i1 in seeds.tolist():
+    for s0, s1, i0, i1 in _pcg_seeds(list(entropies)).tolist():
         # pcg64_set_seed: state 0, one step, add the seed, one more step.
         inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
         state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}

@@ -6,10 +6,11 @@ block of slots straight into one set of arrays, each slot from its own
 generator.  The decoding graph links every station to the active users
 within distance r and is stored as an edge list: per edge, the station and
 the column of the active user it hears.
-``build_adjacency`` builds the graph of a block of slots in one pass, as
-their disjoint union, so that many slots are decoded in one kernel call; it
-counts the stations per x-cell of each slot and finds each user's candidate
-stations as the run of cells that spans its disk.
+``build_adjacency`` builds the graph of one instance, a slot or a block,
+in one pass; a block's graph is the disjoint union of its slots' graphs, so
+that many slots are decoded in one kernel call.  It counts the stations per
+x-cell of each slot and finds each user's candidate stations as the run of
+cells that spans its disk.
 """
 
 from __future__ import annotations
@@ -158,15 +159,13 @@ def generate_instance(
     return NetworkInstance(params, user_xy, station_xy, u < np.repeat([s.p for s in slots], n))
 
 
-def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
-    """Closed-disk test between the stations and active users of one or more slots.
+def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
+    """Closed-disk test between the stations and active users of one slot or of a block of slots.
 
-    The slots are those of each instance in turn, a block of slots
-    (``NetworkInstance.slots``) or one.  Several slots give their disjoint
-    union: the stations, users and columns of each slot are offset by the
-    totals of the slots before it, so no edge joins two slots.  Peeling
-    rounds are synchronous, so decoding the union decodes each slot as on
-    its own.
+    A block (``NetworkInstance.slots``) gives the disjoint union of its
+    slots' graphs: the stations, users and columns of each slot follow those
+    of the slots before it, so no edge joins two slots.  Peeling rounds are
+    synchronous, so decoding the union decodes each slot as on its own.
 
     Each slot's x range is cut into cells of equal width, about
     ``_CELLS_PER_R`` per smallest r of the block but no more than its largest
@@ -183,7 +182,7 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     in column order, ``_PAIR_CHUNK`` candidate pairs at a time, so each
     column's edges form one run and the runs ascend.
     """
-    slots = [s for inst in instances for s in inst.slots]
+    slots = instance.slots
     n_users = [s.n for s in slots]
     n_stations = [s.m for s in slots]
     radius = np.array([s.r for s in slots])
@@ -195,7 +194,7 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
         """Cell of each x within its slot, nondecreasing in x."""
         return np.minimum(np.maximum((x + HALF_SIDE) * cells, 0), cells - 1).astype(np.intp)
 
-    station_xy = np.concatenate([inst.station_xy for inst in instances])
+    station_xy = instance.station_xy
     key = (np.repeat(first_cell, n_stations) + cell_of(station_xy[:, 0])).astype(np.min_scalar_type(n_cells - 1))
     # A stable sort of a key of 16 bits or less is a radix sort.
     order = np.argsort(key, kind="stable")
@@ -204,8 +203,8 @@ def build_adjacency(*instances: NetworkInstance) -> BipartiteGraph:
     starts = np.zeros(n_cells + 1, dtype=np.intp)
     np.cumsum(np.bincount(key, minlength=n_cells), out=starts[1:])
 
-    users = np.flatnonzero(np.concatenate([inst.active for inst in instances]))
-    ux, uy = (xy[users] for xy in np.concatenate([inst.user_xy for inst in instances]).T)
+    users = np.flatnonzero(instance.active)
+    ux, uy = (xy[users] for xy in instance.user_xy.T)
     # Per active user: its slot's first cell, half-width of window and r**2.
     bounds = np.searchsorted(users, np.cumsum([0, *n_users]))
     active_per_slot = bounds[1:] - bounds[:-1]

@@ -423,9 +423,10 @@ class TestOutputDigests:
     line is part of the file, so a version bump changes the digests too.
     Each output is pinned in one process and on a pool of two workers, and
     again at seed 2^32, a two-word seed: its sweep slots hash four words
-    each and its placements three.  A 50-disk tabulate line spans two
-    sample blocks per placement.  On the shipped table, a sweep pins the
-    analytic columns and an oracle run its finite-bracket line.  Two
+    each and its placements three.  At seed 2^64 the entropies are seeded by
+    numpy's own ``SeedSequence``, item by item.  A 50-disk tabulate line
+    spans two sample blocks per placement.  On the shipped table, a sweep
+    pins the analytic columns and an oracle run its finite-bracket line.  Two
     ``gbullet`` lines pin the max-load edge cases: a lambda whose coverage
     1 - e^-lambda is below 1 - eps for one eps, and a grid with only one
     point that has users.  Two oracle runs pin the decoding of the heard
@@ -458,6 +459,12 @@ class TestOutputDigests:
             id="sweep_seed_2_32",
         ),
         pytest.param(
+            ["sweep", "--m", "20", "--p", "0.25", "--lambda", "2", "--grid", "0:1:0.25", "--runs", "150",
+             "--seed", "18446744073709551616", "--no-analytic"],
+            "8a98031a428e3fec4942ea6f1b53f801022c053d1ab7ff06d32ea5a4e58aab5c",
+            id="sweep_seed_2_64",
+        ),
+        pytest.param(
             ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
              "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "4294967296"],
             "a5a204aa2beb94486c3fd662d4eea3330239d760a699c3bf56d7798d1f0dffa3",
@@ -480,6 +487,12 @@ class TestOutputDigests:
              "--seed", "4294967296"],
             "404011a811914c58af9e0beae0c8698eefd4490dca250d3cdb336568ec59ee3f",
             id="tabulate_seed_2_32",
+        ),
+        pytest.param(
+            ["tabulate", "--k-max", "6", "--s-max", "4", "--placements", "40", "--samples", "3000",
+             "--seed", "18446744073709551616"],
+            "a4474d42bfcf936c10c738c824acbe47642a496112ecc7088aec5d9d0117d176",
+            id="tabulate_seed_2_64",
         ),
         pytest.param(
             ["tabulate", "--k-max", "50", "--s-max", "3", "--placements", "3", "--samples", "70000",
@@ -561,3 +574,22 @@ class TestUsageErrors:
         res = run_cli("--version")
         assert res.returncode == 0
         assert "mbaloha" in res.stdout
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, so calls in one process share it."""
+
+    def test_usage_error_after_a_successful_call_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        assert cli.main(["oracle", "--n", "4", "--m", "2", "--masks", "2", "--threads", "1", "--out", str(out)]) == 0
+        for argv in (["sweep", "--bogus"], ["tabulate", "--k-max", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1
+        assert "requires --out" in capsys.readouterr().err
+
+    def test_values_do_not_leak_into_the_next_call(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["sweep", "--threads", "2"]).threads == 2
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["sweep"]).threads == 0

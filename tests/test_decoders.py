@@ -28,6 +28,7 @@ from mbaloha.scenario import (
     generate_instance,
 )
 from topologies import (
+    block_of,
     decode_cooperative_sequential,
     four_cycle,
     graph_from_station_lists,
@@ -319,7 +320,7 @@ class TestPeelKernel:
     def test_sweep_block_at_lambda_6_and_full_load(self, max_rounds):
         # 128 slots as one experiments block: lambda = m pi r^2 = 6, G = n p / m = 1.
         params = SystemParams(n=400, m=100, r=math.sqrt(6 / (100 * math.pi)), p=0.25)
-        union = build_adjacency(*(generate_instance(params, rng_from(1706, k)) for k in range(128)))
+        union = build_adjacency(block_of(*(generate_instance(params, rng_from(1706, k)) for k in range(128))))
         rounds = assert_peels_as_reference(union.station, union.column, union.n_stations, union.users.size, max_rounds)
         if max_rounds is None:
             assert rounds.max() >= 8
@@ -350,7 +351,7 @@ class TestDisjointUnion:
         instances.insert(4, far)
         instances.append(three_round_chain_instance())
         graphs = [build_adjacency(inst) for inst in instances]
-        union = build_adjacency(*instances)
+        union = build_adjacency(block_of(*instances))
         rounds = peel(union)
         nc_union = decode_noncooperative(union)
         coop_union = decode_cooperative(union)

@@ -94,6 +94,17 @@ class TestSubstreams:
             for a, b in zip(self._draws(rng, 5 + i, 2), want):
                 assert a.tobytes() == b.tobytes(), entropy
 
+    def test_one_seed_of_2_64_in_a_batch_of_3_tuples_bit_identical_to_numpy_seeding(self):
+        # One entropy too wide for uint64 sends the whole batch to numpy's
+        # own SeedSequence, item by item.
+        entropies = [(20259, 400, run) for run in range(3)] + [(2**64, 400, 3)] + [(7, 40, run) for run in range(2)]
+        got = [self._draws(rng, 6, 2) for rng in substreams(entropies)]
+        assert len(got) == len(entropies)
+        for entropy, draws in zip(entropies, got):
+            want = self._draws(np.random.default_rng(np.random.SeedSequence(entropy)), 6, 2)
+            for a, b in zip(draws, want):
+                assert a.tobytes() == b.tobytes(), entropy
+
     @pytest.mark.parametrize("entropy", [(-1, 0, 0), (5, -2), (1.5, 3), (2, 0.0)])
     def test_negative_or_non_integer_entropy_rejected(self, entropy):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

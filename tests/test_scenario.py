@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg, stats
+from scipy import stats
 
 from conftest import references, rng_from
 from laws import (
@@ -29,7 +29,7 @@ from mbaloha.scenario import (
     parse_instance,
 )
 from points import is_adjacent, uniform_points
-from topologies import incidence
+from topologies import block_of, incidence
 
 small_params = st.builds(
     SystemParams,
@@ -147,7 +147,7 @@ class TestBlockDraw:
         block = generate_instance(tuple(one for one, _ in slots), self._streams(slots))
         singles = [self._one_slot(one, run) for one, run in slots]
         everyone = [dataclasses.replace(inst, active=np.ones(inst.params.n, bool)) for inst in singles]
-        got, want = all_users_adjacency(block), build_adjacency(*everyone)
+        got, want = all_users_adjacency(block), build_adjacency(block_of(*everyone))
         assert (got.n_stations, got.n_users) == (want.n_stations, want.n_users) == (5, 10)
         for field in ("users", "station", "column"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -254,21 +254,9 @@ def boundary_instance(
 class TestBlockAdjacency:
     """The graph of many slots built at once against the all-pairs test."""
 
-    @staticmethod
-    def _check(instances):
-        union = build_adjacency(*instances)
-        offsets = np.cumsum([0] + [inst.params.n for inst in instances[:-1]])
-        users = np.concatenate([np.flatnonzero(inst.active) + o for inst, o in zip(instances, offsets)])
-        assert union.n_stations == sum(inst.params.m for inst in instances)
-        assert union.n_users == sum(inst.params.n for inst in instances)
-        assert np.array_equal(union.users, users)
-        assert len(set(zip(union.station.tolist(), union.column.tolist()))) == union.station.size
-        assert np.array_equal(incidence(union), all_pairs_incidence(instances))
-        return union
-
     @pytest.mark.parametrize("r", [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
     def test_exact_distance_pairs_alone(self, r):
-        assert self._check([boundary_instance(r)]).station.size > 0
+        assert check_block([boundary_instance(r)]).station.size > 0
 
     @pytest.mark.parametrize("r", [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
     def test_exact_distance_pairs_in_last_of_128_slots(self, r):
@@ -285,17 +273,44 @@ class TestBlockAdjacency:
         )
         instances = [no_users, *instances, far, boundary_instance(r)]
         assert len(instances) == 128
-        union = self._check(instances)
+        union = check_block(instances)
         assert (union.station >= union.n_stations - instances[-1].params.m).any()
 
 
-def dense_block_diagonal(instances) -> np.ndarray:
-    """Dense station x column incidence of the instances side by side: the
-    benchmark's numpy all-pairs matrix of each slot's active users, one
-    diagonal block per slot."""
-    return linalg.block_diag(
-        *(references.dense_adjacency(i.station_xy, i.user_xy[i.active], i.params.r) for i in instances)
-    )
+def pairwise_incidence(inst) -> np.ndarray:
+    """Dense station x column incidence of one slot, pair by pair."""
+    return all_pairs_incidence([inst])
+
+
+def dense_incidence(inst) -> np.ndarray:
+    """Dense station x column incidence of one slot: the benchmark's numpy
+    all-pairs matrix of its active users."""
+    return references.dense_adjacency(inst.station_xy, inst.user_xy[inst.active], inst.params.r)
+
+
+def check_block(instances, reference=pairwise_incidence):
+    """The graph of the instances as one block: its users, its distinct
+    edges and its column runs, no edge that joins two slots, and each slot's
+    edges those of ``reference``, its dense station x column incidence.
+    One slot's matrix at a time keeps the memory to that of the largest slot."""
+    union = build_adjacency(block_of(*instances))
+    offsets = np.cumsum([0] + [inst.params.n for inst in instances[:-1]])
+    users = np.concatenate([np.flatnonzero(inst.active) + o for inst, o in zip(instances, offsets)])
+    assert union.n_users == sum(inst.params.n for inst in instances)
+    assert np.array_equal(union.users, users)
+    assert len(set(zip(union.station.tolist(), union.column.tolist()))) == union.station.size
+    assert_column_runs(union)
+    stations = np.cumsum([0] + [inst.params.m for inst in instances])
+    columns = np.cumsum([0] + [int(inst.active.sum()) for inst in instances])
+    assert union.n_stations == stations[-1]
+    slot = np.searchsorted(stations, union.station, side="right") - 1
+    assert np.array_equal(slot, np.searchsorted(columns, union.column, side="right") - 1)
+    for k, inst in enumerate(instances):
+        mine = slot == k
+        adj = np.zeros((inst.params.m, columns[k + 1] - columns[k]), dtype=bool)
+        adj[union.station[mine] - stations[k], union.column[mine] - columns[k]] = True
+        assert np.array_equal(adj, reference(inst)), k
+    return union
 
 
 def cells_per_slot(instances) -> int:
@@ -308,23 +323,12 @@ class TestCellWindows:
     """The per-slot x-cell windows of ``build_adjacency`` keep every edge of
     the all-pairs test, wherever the cell edges fall."""
 
-    @staticmethod
-    def _check(instances, reference=all_pairs_incidence):
-        union = build_adjacency(*instances)
-        offsets = np.cumsum([0] + [inst.params.n for inst in instances[:-1]])
-        users = np.concatenate([np.flatnonzero(inst.active) + o for inst, o in zip(instances, offsets)])
-        assert np.array_equal(union.users, users)
-        assert len(set(zip(union.station.tolist(), union.column.tolist()))) == union.station.size
-        assert np.array_equal(incidence(union), reference(instances))
-        assert_column_runs(union)
-        return union
-
     def test_block_mixing_the_radii_of_gbullet(self):
         # One radius per lambda, slot by slot; the cells follow the smallest.
         rng = rng_from(1803)
         params = [SystemParams(n=400, m=100, r=math.sqrt(lam / (100 * math.pi)), p=0.25) for lam in (2, 3, 4, 6)]
         instances = [generate_instance(params[k % 4], rng) for k in range(128)]
-        assert self._check(instances, dense_block_diagonal).station.size > 2 * _PAIR_CHUNK
+        assert check_block(instances, dense_incidence).station.size > 2 * _PAIR_CHUNK
 
     @pytest.mark.parametrize("r", [0.125, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
     def test_window_ends_on_cell_edges(self, r):
@@ -339,9 +343,9 @@ class TestCellWindows:
         assert cells_per_slot([inst]) == cells
         if r == 0.125:
             assert cells == 32 and all((x + 0.5) * 32 == round((x + 0.5) * 32) for x in xs)
-        assert self._check([inst]).station.size > 0
+        assert check_block([inst]).station.size > 0
         filler = generate_instance(SystemParams(n=30, m=cells, r=r, p=0.5), rng_from(1804))
-        assert self._check([filler, inst, filler]).station.size > 0
+        assert check_block([filler, inst, filler]).station.size > 0
 
     def test_key_of_more_than_16_bits(self):
         r = 0.0075
@@ -349,7 +353,7 @@ class TestCellWindows:
         instances = [generate_instance(SystemParams(n=30, m=2000, r=r, p=0.5), rng) for _ in range(127)]
         instances.append(boundary_instance(r))
         assert len(instances) * cells_per_slot(instances) > 2**16
-        union = self._check(instances, dense_block_diagonal)
+        union = check_block(instances, dense_incidence)
         assert (union.station >= union.n_stations - instances[-1].params.m).sum() > 0
         assert (union.station < union.n_stations - instances[-1].params.m).sum() > 100
 
@@ -359,11 +363,11 @@ class TestCellWindows:
         for k in (0, 3, 6):
             inst = instances[k]
             instances[k] = NetworkInstance(inst.params, inst.user_xy, inst.station_xy, np.zeros(20, dtype=bool))
-        union = self._check(instances)
+        union = check_block(instances)
         assert union.station.size > 0
         # No slot is active: no users, no edges.
         silent = [instances[k] for k in (0, 3, 6)]
-        union = self._check(silent)
+        union = check_block(silent)
         assert union.users.size == union.station.size == 0
         assert union.n_stations == 30
 
@@ -373,7 +377,7 @@ class TestCellWindows:
         inst = generate_instance(SystemParams(n=60, m=40, r=0.15, p=1.0), rng_from(1807))
         ghosts = np.concatenate([inst.station_xy + shift for shift in ([0, 0], [1, 0], [-1, 0], [0, 1], [-1, -1])])
         torus = NetworkInstance(SystemParams(n=60, m=ghosts.shape[0], r=0.15, p=1.0), inst.user_xy, ghosts, inst.active)
-        union = self._check([torus, inst])
+        union = check_block([torus, inst])
         assert ((union.station >= inst.params.m) & (union.station < torus.params.m)).any()
 
 
@@ -400,7 +404,7 @@ class TestEdgeOrder:
             instances[k] = NetworkInstance(
                 self.SWEEP_LAMBDA_6, instances[k].user_xy, instances[k].station_xy, np.zeros(400, dtype=bool)
             )
-        union = build_adjacency(*instances)
+        union = build_adjacency(block_of(*instances))
         # The candidate pairs span many chunks.
         assert union.station.size > 2 * _PAIR_CHUNK
         assert_column_runs(union)
@@ -416,7 +420,7 @@ class TestDisjointUnion:
     def test_offsets_keep_graphs_apart(self, draws):
         instances = [generate_instance(params, rng_from(seed)) for params, seed in draws]
         graphs = [build_adjacency(inst) for inst in instances]
-        union = build_adjacency(*instances)
+        union = build_adjacency(block_of(*instances))
         assert np.array_equal(incidence(union), all_pairs_incidence(instances))
         assert union.n_stations == sum(g.n_stations for g in graphs)
         assert union.n_users == sum(g.n_users for g in graphs)

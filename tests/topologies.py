@@ -1,6 +1,6 @@
-"""Hand-built decoding graphs with hand-executed expected outcomes, and two
+"""Hand-built decoding graphs with hand-executed expected outcomes, two
 peeling decoders used as differential references: a sequential one and a
-round-by-round one."""
+round-by-round one, and ``block_of``, which joins instances into one block."""
 
 import numpy as np
 
@@ -15,6 +15,16 @@ def graph_from_station_lists(n_users: int, station_neighbors: list[list[int]], a
     pairs = [(l, column_of[u]) for l, nbrs in enumerate(station_neighbors) for u in nbrs if u in column_of]
     station, column = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return BipartiteGraph(len(station_neighbors), n_users, users, station, column)
+
+
+def block_of(*instances: NetworkInstance) -> NetworkInstance:
+    """The instances side by side as one block: its slots are theirs, in order."""
+    return NetworkInstance(
+        tuple(s for inst in instances for s in inst.slots),
+        np.concatenate([inst.user_xy for inst in instances]),
+        np.concatenate([inst.station_xy for inst in instances]),
+        np.concatenate([inst.active for inst in instances]),
+    )
 
 
 def incidence(graph: BipartiteGraph) -> np.ndarray:
