@@ -5,14 +5,16 @@ undecoded active user delivers that user.  Non-cooperative decoding is the
 first round alone.  Cooperative decoding repeats the round after cancelling
 every delivered user's interference at all its stations (synchronous
 peeling) and stops when no such station remains (a stopping set).  The rule
-is written once, in ``_peel``, on the edges of one graph.  Components of a
-graph share no edge and every round is synchronous, so a graph that is the
-disjoint union of many decodes each of them exactly as on its own: a sweep
-decodes the union of many slots in one call, and the oracles that integrate
-both decoders over the activation masks of a fixed placement decode the
-union of a block of masked copies of its edges.  A user that no station
-hears has no edge, so it changes no decode: the oracles decode each pattern
-of the k heard users' activity once, 2^k decodes in place of 2^n.
+is written once, in ``_peel``, on the edges of one graph in ascending
+column order, so that a user's edges are one slice, found by the prefix
+counts of the columns.  Components of a graph share no edge and every
+round is synchronous, so a graph that is the disjoint union of many
+decodes each of them exactly as on its own: a sweep decodes the union of
+many slots in one call, and the oracles that integrate both decoders over
+the activation masks of a fixed placement decode the union of a block of
+masked copies of its edges.  A user that no station hears has no edge, so
+it changes no decode: the oracles decode each pattern of the k heard
+users' activity once, 2^k decodes in place of 2^n.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ def _peel(
     changes only when its station loses an edge, and a station of degree
     one loses its edge in the round that finds it.  Each station keeps its
     live degree and the sum of the columns it still hears, so a station of
-    degree one names its user, and a delivered user's edges are found as
-    one run of the edge list.  The edges may come in any order: if some
-    column's edges are not one run, they are sorted by column first.
+    degree one names its user.  The edges must come in ascending column
+    order, as ``BipartiteGraph`` lists them; the compaction rounds keep it,
+    so a delivered column's live edges are the slice between its prefix
+    counts.
     """
     rounds = np.zeros(n_columns, dtype=np.int64)
     r = 0
@@ -86,48 +89,33 @@ def _peel(
     frontier = np.flatnonzero(degree == 1)
     if not frontier.size:
         return rounds
-    # Run k of the edges is bounds[k]:bounds[k + 1], of column heads[k].
-    bounds, heads = _runs(column)
-    run_of = np.empty(n_columns, dtype=np.intp)
-    ids = np.arange(heads.size)
-    run_of[heads] = ids
-    if not np.array_equal(run_of[heads], ids):
-        # A column heads two runs, and one of them lost its write.
-        order = np.argsort(column, kind="stable")
-        station, column = station[order], column[order]
-        bounds, heads = _runs(column)
-        run_of[heads] = np.arange(heads.size)
+    # Column c's live edges are first[c]:first[c + 1].
+    first = np.zeros(n_columns + 1, dtype=np.intp)
+    np.cumsum(np.bincount(column, minlength=n_columns), out=first[1:])
     # Sums of column ids, exact in float64 far beyond any graph's size.
     heard = np.bincount(station, weights=column, minlength=n_stations)
-    owner = np.empty(heads.size, dtype=np.intp)
+    owner = np.empty(n_columns, dtype=np.intp)
     while True:
         ends = frontier[degree[frontier] == 1]
         if not ends.size:
             return rounds
-        # A user alone at several stations is delivered once: of a run's
+        # A user alone at several stations is delivered once: of a column's
         # entries, only the one whose write to owner stayed is kept.
-        run = run_of[heard[ends].astype(np.intp)]
-        entry = np.arange(run.size)
-        owner[run] = entry
-        run = run[owner[run] == entry]
+        user = heard[ends].astype(np.intp)
+        entry = np.arange(user.size)
+        owner[user] = entry
+        user = user[owner[user] == entry]
         r += 1
-        rounds[heads[run]] = r
+        rounds[user] = r
         if r == max_rounds:
             return rounds
-        lo = bounds[run]
-        size = bounds[run + 1] - lo
+        lo = first[user]
+        size = first[user + 1] - lo
         last = np.cumsum(size)
         edge = np.arange(last[-1]) + np.repeat(lo - (last - size), size)
         frontier = station[edge]
         degree -= np.bincount(frontier, minlength=n_stations)
         heard -= np.bincount(frontier, weights=column[edge], minlength=n_stations)
-
-
-def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the runs of equal entries of a nonempty ``column``, and each run's entry."""
-    starts = np.flatnonzero(column[1:] != column[:-1]) + 1
-    bounds = np.concatenate(([0], starts, [column.size]))
-    return bounds, column[bounds[:-1]]
 
 
 def _decode(graph: BipartiteGraph, cooperative: bool) -> DecodingResult:

@@ -68,6 +68,8 @@ class SweepConfig:
             raise ValueError("empty load grid")
         if not all(0 <= g < math.inf for g in self.g_grid):
             raise ValueError("loads must be finite and nonnegative")
+        if not all(g * self.m / self.p < 2**63 for g in self.g_grid):
+            raise ValueError("a load's user count g*m/p must be below 2**63")
         if not self.runs_per_point >= 1:
             raise ValueError("runs_per_point must be positive")
         if not self.seed >= 0:

@@ -280,11 +280,12 @@ def parse_moment_table(text: str) -> MomentTable:
     if len(rows) != k_max:
         raise MomentTableError(f"expected {k_max} moment rows, found {len(rows)}")
     try:
-        moments = np.array([[float(v) for v in row.split()] for row in rows])
+        entries = [[float(v) for v in row.split()] for row in rows]
     except ValueError as exc:
         raise MomentTableError("non-numeric moment entry") from exc
-    if moments.shape != (k_max, s_max):
+    if any(len(row) != s_max for row in entries):
         raise MomentTableError(f"expected {s_max} columns per row")
+    moments = np.array(entries)
     return MomentTable(
         k_max=k_max,
         s_max=s_max,

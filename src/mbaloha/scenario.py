@@ -97,9 +97,9 @@ class BipartiteGraph(NamedTuple):
 
     Edge e joins station ``station[e]`` to column ``column[e]``; column j is
     the active user ``users[j]``.  Inactive users have no column, and an
-    active user that no station hears has a column but no edge.
-    ``build_adjacency`` lists each column's edges together; the decoders
-    accept the edges in any order.
+    active user that no station hears has a column but no edge.  The edges
+    are listed in ascending column order, which the decoders rely on:
+    ``build_adjacency`` and the oracles' masked copies list them so.
     """
 
     n_stations: int
@@ -179,8 +179,8 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     margin is 2**12 times wider; a station's cell is a nondecreasing function
     of its x, so a station between the two ends lies in a cell of the run.
     Positions off the square fall in the edge cells.  The users are visited
-    in column order, ``_PAIR_CHUNK`` candidate pairs at a time, so each
-    column's edges form one run and the runs ascend.
+    in column order, ``_PAIR_CHUNK`` candidate pairs at a time, so the edges
+    come in ascending column order, as ``BipartiteGraph`` requires.
     """
     slots = instance.slots
     n_users = [s.n for s in slots]

@@ -217,13 +217,17 @@ class TestSweepCommand:
             (["--grid", "0:inf:0.1"], "grid start, stop and step must be finite"),
             (["--grid", "0:nan:0.1"], "grid start, stop and step must be finite"),
             (["--grid", "0:1:1e-320"], "grid range spans too many steps"),
+            (["--grid", "0.1,1e300"], "user count g*m/p must be below 2**63"),
+            (["--grid", "1e308"], "user count g*m/p must be below 2**63"),
         ],
-        ids=["nan_load", "nan_lambda", "inf_grid_stop", "nan_grid_stop", "inf_grid_steps"],
+        ids=["nan_load", "nan_lambda", "inf_grid_stop", "nan_grid_stop", "inf_grid_steps", "huge_load", "inf_users"],
     )
-    def test_nan_rejected_before_simulation(self, flags, message):
-        res = run_cli(*self.BASE, *flags, "--no-analytic")
+    def test_nan_rejected_before_simulation(self, tmp_path, flags, message):
+        out = tmp_path / "never.csv"
+        res = run_cli(*self.BASE, *flags, "--no-analytic", "--out", str(out))
         assert res.returncode == 2
         assert message in res.stderr
+        assert not out.exists()
 
     def test_negative_seed_exits_2_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -254,6 +258,16 @@ class TestGbulletCommand:
         res = run_cli(*self.BASE, "--lambdas", lambdas, "--eps", "0.4")
         assert res.returncode == 2
         assert "lambda_target must be positive" in res.stderr
+
+    def test_huge_load_rejected_before_simulation(self, tmp_path):
+        out = tmp_path / "never.csv"
+        res = run_cli(
+            "gbullet", "--m", "10", "--p", "0.5", "--grid", "0.1,1e300", "--runs", "3", "--lambdas", "0.5",
+            "--out", str(out),
+        )
+        assert res.returncode == 2
+        assert "user count g*m/p must be below 2**63" in res.stderr
+        assert not out.exists()
 
     def test_grid_without_users_gives_zero_cells(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -251,30 +251,6 @@ def edge_lists(draw):
     return station, column, n_stations, n_columns
 
 
-EDGE_ORDERS = ["column", "station", "shuffled", "split"]
-
-
-def listed(station, column, order, seed):
-    """The edges of a column-by-column list, listed in ``order``.
-
-    ``split`` moves the last edge of the last column with two edges or more
-    to the far end of the list from its run, so that this column has two
-    runs whenever another column has an edge.
-    """
-    pick = np.arange(station.size)
-    if order == "station":
-        pick = np.argsort(station, kind="stable")
-    elif order == "shuffled":
-        pick = rng_from(seed).permutation(station.size)
-    elif order == "split":
-        many = np.flatnonzero(np.bincount(column)[column] >= 2)
-        if many.size:
-            e = many[-1]
-            rest = np.delete(pick, e)
-            pick = np.concatenate(([e], rest) if column[e] == column[-1] else (rest, [e]))
-    return station[pick], column[pick]
-
-
 def assert_peels_as_reference(station, column, n_stations, n_columns, max_rounds):
     want = peel_by_compaction(station, column, n_stations, n_columns, max_rounds)
     got = _peel(station, column, n_stations, n_columns, max_rounds)
@@ -283,21 +259,17 @@ def assert_peels_as_reference(station, column, n_stations, n_columns, max_rounds
 
 
 class TestPeelKernel:
-    """``_peel`` against the round-by-round compaction reference of ``topologies``."""
+    """``_peel`` against the round-by-round compaction reference of ``topologies``, on edges in column order."""
 
     @pytest.mark.parametrize("max_rounds", [None, 1, 2])
-    @pytest.mark.parametrize("order", EDGE_ORDERS)
-    @given(edge_lists(), st.integers(0, 99))
-    def test_random_graphs_in_any_edge_order(self, order, max_rounds, edges, seed):
-        station, column, n_stations, n_columns = edges
-        assert_peels_as_reference(*listed(station, column, order, seed), n_stations, n_columns, max_rounds)
+    @given(edge_lists())
+    def test_random_graphs(self, max_rounds, edges):
+        assert_peels_as_reference(*edges, max_rounds)
 
     @pytest.mark.parametrize("max_rounds", [None, 1, 2])
-    @pytest.mark.parametrize("order", EDGE_ORDERS)
-    def test_user_alone_at_two_stations_after_a_light_round(self, order, max_rounds):
+    def test_user_alone_at_two_stations_after_a_light_round(self, max_rounds):
         graph = twice_alone_late()
-        station, column = listed(graph.station, graph.column, order, 5)
-        rounds = assert_peels_as_reference(station, column, graph.n_stations, graph.users.size, max_rounds)
+        rounds = assert_peels_as_reference(graph.station, graph.column, graph.n_stations, graph.users.size, max_rounds)
         full = np.array([1, 2, 0, 0, 0, 3])
         assert np.array_equal(rounds, full if max_rounds is None else np.where(full <= max_rounds, full, 0))
 
@@ -311,10 +283,9 @@ class TestPeelKernel:
         [(four_cycle(), [0, 0]), (ten_user_showcase(), [1, 1, 1, 1, 2, 2, 2, 3, 3, 0])],
         ids=["four_cycle", "showcase"],
     )
-    @pytest.mark.parametrize("order", EDGE_ORDERS)
-    def test_stopping_sets_and_users_without_edges(self, graph, want, order):
-        station, column = listed(graph.station, graph.column, order, 3)
-        assert assert_peels_as_reference(station, column, graph.n_stations, graph.users.size, None).tolist() == want
+    def test_stopping_sets_and_users_without_edges(self, graph, want):
+        got = assert_peels_as_reference(graph.station, graph.column, graph.n_stations, graph.users.size, None)
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("max_rounds", [None, 1, 2])
     def test_sweep_block_at_lambda_6_and_full_load(self, max_rounds):
@@ -330,8 +301,15 @@ class TestPeelKernel:
         graph = all_users_adjacency(generate_instance(SystemParams(n=n, m=m, r=r, p=0.5), rng_from(1707, n, m)))
         masks = rng_from(1708, n, m).random((MASK_BLOCK, n)) < 0.6
         rounds = _peel_masks(graph, masks)
-        monkeypatch.setattr(decoders, "_peel", peel_by_compaction)
+        columns = []
+
+        def reference(station, column, *sizes):
+            columns.append(column)
+            return peel_by_compaction(station, column, *sizes)
+
+        monkeypatch.setattr(decoders, "_peel", reference)
         assert np.array_equal(rounds, _peel_masks(graph, masks))
+        assert np.all(np.diff(columns[0]) >= 0)
 
 
 class TestDisjointUnion:

@@ -277,6 +277,20 @@ class TestTabulateMoments:
             tabulate_moments(1, 1, 0, 1, seed=0)
 
 
+def two_column_text(table):
+    """The first two columns of ``table``, in the file format."""
+    return format_moment_table(
+        MomentTable(
+            k_max=table.k_max,
+            s_max=2,
+            moments=table.moments[:, :2],
+            placements_per_k=table.placements_per_k,
+            samples_per_placement=table.samples_per_placement,
+            seed=table.seed,
+        )
+    )
+
+
 class TestMomentTableIO:
     def test_round_trip_bit_identical(self, tiny_table, tmp_path):
         path = tmp_path / "table.txt"
@@ -300,18 +314,14 @@ class TestMomentTableIO:
         ],
     )
     def test_malformed_files_rejected(self, tiny_table, mangle):
-        text = format_moment_table(
-            MomentTable(
-                k_max=tiny_table.k_max,
-                s_max=2,
-                moments=tiny_table.moments[:, :2],
-                placements_per_k=tiny_table.placements_per_k,
-                samples_per_placement=tiny_table.samples_per_placement,
-                seed=tiny_table.seed,
-            )
-        )
         with pytest.raises(MomentTableError):
-            parse_moment_table(mangle(text))
+            parse_moment_table(mangle(two_column_text(tiny_table)))
+
+    def test_short_row_is_reported_by_its_length(self, tiny_table):
+        lines = two_column_text(tiny_table).splitlines()
+        lines[-1] = lines[-1].split()[0]
+        with pytest.raises(MomentTableError, match="expected 2 columns per row"):
+            parse_moment_table("\n".join(lines) + "\n")
 
     def test_invariant_violations_rejected(self, tiny_table):
         base = tiny_table.moments[:, :1]

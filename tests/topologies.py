@@ -9,12 +9,14 @@ from mbaloha.scenario import BipartiteGraph, NetworkInstance, SystemParams
 
 
 def graph_from_station_lists(n_users: int, station_neighbors: list[list[int]], active=None) -> BipartiteGraph:
-    """Edge list whose columns are the ``active`` users (default: all)."""
+    """Edge list whose columns are the ``active`` users (default: all), in
+    ascending column order and, within a column, ascending station order."""
     users = np.arange(n_users) if active is None else np.asarray(sorted(active), dtype=np.int64)
     column_of = {u: j for j, u in enumerate(users.tolist())}
     pairs = [(l, column_of[u]) for l, nbrs in enumerate(station_neighbors) for u in nbrs if u in column_of]
     station, column = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return BipartiteGraph(len(station_neighbors), n_users, users, station, column)
+    order = np.argsort(column, kind="stable")
+    return BipartiteGraph(len(station_neighbors), n_users, users, station[order], column[order])
 
 
 def block_of(*instances: NetworkInstance) -> NetworkInstance:
