@@ -13,8 +13,9 @@ decodes each of them exactly as on its own: a sweep decodes the union of
 many slots in one call, and the oracles that integrate both decoders over
 the activation masks of a fixed placement decode the union of a block of
 masked copies of its edges.  A user that no station hears has no edge, so
-it changes no decode: the oracles decode each pattern of the k heard
-users' activity once, 2^k decodes in place of 2^n.
+it changes no decode: both oracles share one loop that decodes patterns of
+the k heard users' activity, each once per run, the enumeration all 2^k in
+place of 2^n masks and the mask Monte Carlo each pattern it draws.
 """
 
 from __future__ import annotations
@@ -170,11 +171,21 @@ def _tally(graph: BipartiteGraph, masks: np.ndarray, groups: np.ndarray) -> np.n
     """Decodes of ``masks`` on ``graph`` that collect each user, per group.
 
     Row b of the (B, G) ``groups`` weights decode b into G groups.  Returns
-    a (2, G, users) array: the non-cooperative counts, then the cooperative
-    ones.
+    (2, G, users): the non-cooperative counts, then the cooperative ones.
     """
     rounds = _peel_masks(graph, masks)
     return groups.T @ np.stack([rounds == 1, rounds > 0])
+
+
+def _tally_patterns(graph: BipartiteGraph, heard: np.ndarray, codes: np.ndarray, weigh) -> np.ndarray:
+    """Sum of ``_tally`` over the patterns ``codes`` of ``heard``, with groups ``weigh(block, masks)``."""
+    bits = 1 << np.arange(heard.size)
+    counts = 0.0
+    for block in np.split(codes, np.arange(MASK_BLOCK, codes.size, MASK_BLOCK)):
+        masks = np.zeros((block.size, graph.n_users), dtype=bool)
+        masks[:, heard] = (block[:, None] & bits) != 0
+        counts = counts + _tally(graph, masks, weigh(block, masks))
+    return counts
 
 
 class CollectionProbabilities(NamedTuple):
@@ -184,10 +195,11 @@ class CollectionProbabilities(NamedTuple):
     cooperative: np.ndarray
 
 
-def _check_users(n: int) -> None:
-    """Both oracles code an activation pattern as the bits of one int64, so n is bounded."""
-    if n > BRUTE_FORCE_MAX_USERS:
-        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_USERS}, got {n}")
+def _heard(graph: BipartiteGraph) -> np.ndarray:
+    """Heard users of an oracle's graph; a pattern is coded as the bits of one int64, so n is bounded."""
+    if graph.n_users > BRUTE_FORCE_MAX_USERS:
+        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_USERS}, got {graph.n_users}")
+    return np.unique(graph.column)
 
 
 def brute_force_collection_probability(graph: BipartiteGraph, p: float) -> CollectionProbabilities:
@@ -195,27 +207,17 @@ def brute_force_collection_probability(graph: BipartiteGraph, p: float) -> Colle
 
     ``graph`` is ``all_users_adjacency`` of a placement and every user is
     active with probability ``p``: each subset S of users is weighted
-    p^|S| (1-p)^(n-|S|).  Only the 2^k activation patterns of the k heard
-    users are decoded: a pattern of j active heard users stands for the
-    C(n - k, s - j) masks of s active users that agree with it.  Patterns
-    are decoded in blocks of ``MASK_BLOCK``, and per user the masks
-    collecting it are counted exactly by subset size before the weights are
-    applied, so memory does not grow with 2^k.
+    p^|S| (1-p)^(n-|S|).  The pattern loop decodes each of the 2^k patterns
+    of the k heard users once, a pattern of j active heard users standing for
+    the C(n - k, s - j) masks of s active users that agree with it, and
+    counts the masks collecting each user exactly, by s.
     """
     n = graph.n_users
-    _check_users(n)
-    heard = np.unique(graph.column)
+    heard = _heard(graph)
     k = heard.size
-    # lift[j, s]: full masks of s active users per pattern of j active heard users.
     lift = np.array([[math.comb(n - k, s - j) if s >= j else 0 for s in range(n + 1)] for j in range(k + 1)], float)
-    bits = 1 << np.arange(k)
     # counts[d, s, u]: masks with s active users in which decoder d collects user u
-    counts = 0.0
-    for lo in range(0, 1 << k, MASK_BLOCK):
-        pattern = (np.arange(lo, min(lo + MASK_BLOCK, 1 << k))[:, None] & bits) != 0
-        masks = np.zeros((len(pattern), n), dtype=bool)
-        masks[:, heard] = pattern
-        counts = counts + _tally(graph, masks, lift[pattern.sum(axis=1)])
+    counts = _tally_patterns(graph, heard, np.arange(1 << k), lambda _, masks: lift[masks.sum(axis=1)])
     sizes = np.arange(n + 1)
     weights = p**sizes * (1.0 - p) ** (n - sizes)
     return CollectionProbabilities(weights @ counts[0], weights @ counts[1])
@@ -233,22 +235,18 @@ def mask_monte_carlo(graph: BipartiteGraph, p: float, n_masks: int, seed: int) -
     """Estimate per-user collection probabilities over random activation masks.
 
     ``graph`` is ``all_users_adjacency`` of a placement and every user is
-    active with probability ``p``.  Masks are drawn ``MASK_BLOCK`` at a
-    time, and a block decodes one mask per distinct activation pattern of
-    the k heard users, weighted by the masks that share it: at most 2^k
-    decodes.  The unconditional per-user estimate is (times
-    collected)/n_masks.  n is limited as in the enumeration.
+    active with probability ``p``.  Masks are drawn ``MASK_BLOCK`` at a time
+    and counted by pattern of the heard users; the enumeration's pattern loop
+    decodes each drawn pattern once per run, weighted by its draws.  Per user
+    the estimate is (times collected)/n_masks; n is limited as there.
     """
     if n_masks < 1:
         raise ValueError(f"n_masks must be a positive integer, got {n_masks}")
-    _check_users(graph.n_users)
-    heard = np.unique(graph.column)
-    bits = 1 << np.arange(heard.size)
+    heard = _heard(graph)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    hits = 0.0
+    drawn = np.zeros(1 << heard.size, dtype=np.int64)
     for lo in range(0, n_masks, MASK_BLOCK):
         masks = rng.random((min(MASK_BLOCK, n_masks - lo), graph.n_users)) < p
-        _, first, repeats = np.unique(masks[:, heard] @ bits, return_index=True, return_counts=True)
-        hits = hits + _tally(graph, masks[first], repeats[:, None])
-    ph_nc, ph_coop = hits[:, 0] / n_masks
-    return MaskMonteCarlo(ph_nc, ph_coop, n_masks)
+        drawn += np.bincount(masks[:, heard] @ (1 << np.arange(heard.size)), minlength=drawn.size)
+    hits = _tally_patterns(graph, heard, np.flatnonzero(drawn), lambda block, _: drawn[block, None])
+    return MaskMonteCarlo(*hits[:, 0] / n_masks, n_masks)

@@ -70,6 +70,9 @@ class SweepConfig:
             raise ValueError("loads must be finite and nonnegative")
         if not all(g * self.m / self.p < 2**63 for g in self.g_grid):
             raise ValueError("a load's user count g*m/p must be below 2**63")
+        # A slot holds 3n + 2m doubles and an n-byte mask (scenario.generate_instance).
+        if not all(25 * self.realized_users(g) + 16 * self.m <= 2**40 for g in self.g_grid if g > 0):
+            raise ValueError("a slot's 3n + 2m doubles and n mask bytes must fit in 2**40 bytes")
         if not self.runs_per_point >= 1:
             raise ValueError("runs_per_point must be positive")
         if not self.seed >= 0:

@@ -229,6 +229,15 @@ class TestSweepCommand:
         assert message in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads, runs", [("1", "1"), ("2", "2"), ("1", "2")], ids=["one_slot", "pool", "block"])
+    def test_load_beyond_memory_exits_2_whatever_the_jobs(self, tmp_path, threads, runs):
+        # 4e17 users per slot at the default m and p: rejected before any pool starts.
+        out = tmp_path / "never.csv"
+        res = run_cli("sweep", "--no-analytic", "--grid", "1e15", "--threads", threads, "--runs", runs, "--out", str(out))
+        assert res.returncode == 2
+        assert "must fit in 2**40 bytes" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_negative_seed_exits_2_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
         res = run_cli(*self.BASE, "--grid", "0.2", "--no-analytic", "--seed", "-1", "--out", str(out))
@@ -267,6 +276,16 @@ class TestGbulletCommand:
         )
         assert res.returncode == 2
         assert "user count g*m/p must be below 2**63" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads, runs", [("1", "1"), ("2", "2"), ("1", "2")], ids=["one_slot", "pool", "block"])
+    def test_load_beyond_memory_exits_2_whatever_the_jobs(self, tmp_path, threads, runs):
+        out = tmp_path / "never.csv"
+        res = run_cli(
+            "gbullet", "--grid", "0.1,1e15", "--lambdas", "3", "--threads", threads, "--runs", runs, "--out", str(out)
+        )
+        assert res.returncode == 2
+        assert "must fit in 2**40 bytes" in res.stderr and "Traceback" not in res.stderr
         assert not out.exists()
 
     def test_grid_without_users_gives_zero_cells(self, tmp_path):

@@ -401,17 +401,17 @@ class TestOraclesMatchPerMaskReferences:
         )
 
     @staticmethod
-    def rows_decoded(monkeypatch):
-        """Rows of each ``_tally`` call the oracles make from now on."""
-        rows = []
+    def masks_decoded(monkeypatch):
+        """Masks of each ``_tally`` call the oracles make from now on."""
+        decoded = []
         tally = decoders._tally
 
-        def counting(graph, masks, groups):
-            rows.append(len(masks))
+        def recording(graph, masks, groups):
+            decoded.append(masks)
             return tally(graph, masks, groups)
 
-        monkeypatch.setattr(decoders, "_tally", counting)
-        return rows
+        monkeypatch.setattr(decoders, "_tally", recording)
+        return decoded
 
     @pytest.mark.parametrize("n, m, edges", BENCHMARK_ORACLE_SHAPES)
     def test_benchmark_shapes(self, n, m, edges):
@@ -428,9 +428,9 @@ class TestOraclesMatchPerMaskReferences:
         graph = all_users_adjacency(inst)
         assert graph.station.size == 0
         self.assert_matches(graph, inst.params.p)
-        rows = self.rows_decoded(monkeypatch)
+        decoded = self.masks_decoded(monkeypatch)
         exact = brute_force_collection_probability(graph, inst.params.p)
-        assert rows == [1] and not exact.noncooperative.any() and not exact.cooperative.any()
+        assert list(map(len, decoded)) == [1] and not exact.noncooperative.any() and not exact.cooperative.any()
 
     def test_every_user_heard(self):
         # A station on every user: each is heard, and at r = 1/4 some hear several.
@@ -450,24 +450,52 @@ class TestOraclesMatchPerMaskReferences:
         assert heard_users(graph) == heard
         self.assert_matches(graph, inst.params.p)
 
-    def test_patterns_span_several_mask_blocks(self, monkeypatch):
+    @staticmethod
+    def most_users_heard():
+        """A placement of 15 users of which 13 or 14 are heard: more patterns than one mask block."""
         for seed in itertools.count(2203):
             graph = all_users_adjacency(generate_instance(SystemParams(n=15, m=12, r=0.15, p=0.3), rng_from(seed)))
             if 13 <= heard_users(graph) < 15:
-                break
+                return graph
+
+    def test_patterns_span_several_mask_blocks(self, monkeypatch):
+        graph = self.most_users_heard()
         self.assert_matches(graph, 0.3)
-        rows = self.rows_decoded(monkeypatch)
+        decoded = self.masks_decoded(monkeypatch)
         brute_force_collection_probability(graph, 0.3)
-        assert len(rows) >= 2 and sum(rows) == 2 ** heard_users(graph)
+        assert len(decoded) >= 2 and sum(map(len, decoded)) == 2 ** heard_users(graph)
+
+    def test_monte_carlo_decodes_each_drawn_pattern_once(self, monkeypatch):
+        graph, n_masks, seed = self.most_users_heard(), 2 * MASK_BLOCK + 123, 5
+        heard = np.unique(graph.column)
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        draw = np.concatenate(
+            [rng.random((min(MASK_BLOCK, n_masks - lo), graph.n_users)) < 0.3 for lo in range(0, n_masks, MASK_BLOCK)]
+        )
+        decoded = self.masks_decoded(monkeypatch)
+        mask_monte_carlo(graph, 0.3, n_masks, seed)
+        decoded = np.concatenate(decoded)
+        assert not decoded[:, np.setdiff1d(np.arange(graph.n_users), heard)].any()
+        distinct = np.unique(draw[:, heard], axis=0)
+        assert len(decoded) == len(distinct)
+        np.testing.assert_array_equal(np.unique(decoded[:, heard], axis=0), distinct)
+
+    def test_monte_carlo_patterns_span_several_mask_blocks(self, monkeypatch):
+        # At p = 1/2, 20,000 masks on 13 or 14 heard users draw more than a block of distinct patterns.
+        graph = self.most_users_heard()
+        self.assert_matches(graph, 0.5, n_masks=20_000, seed=6)
+        decoded = self.masks_decoded(monkeypatch)
+        mask_monte_carlo(graph, 0.5, 20_000, 6)
+        assert len(decoded) >= 2 and sum(map(len, decoded)) > MASK_BLOCK
 
     def test_monte_carlo_block_of_one_pattern(self, monkeypatch):
-        # At p = 1 every mask of a block is the same: one decode per block.
+        # At p = 1 every mask is the same: one decode for the whole draw, over two blocks.
         graph = all_users_adjacency(generate_instance(SystemParams(n=9, m=4, r=0.2, p=1.0), rng_from(2204)))
         assert heard_users(graph) > 0
         self.assert_matches(graph, 1.0, n_masks=MASK_BLOCK + 7)
-        rows = self.rows_decoded(monkeypatch)
+        decoded = self.masks_decoded(monkeypatch)
         mask_monte_carlo(graph, 1.0, MASK_BLOCK + 7, 3)
-        assert rows == [1, 1]
+        assert list(map(len, decoded)) == [1]
 
     def test_monte_carlo_shares_the_enumeration_user_limit(self):
         graph = all_users_adjacency(generate_instance(SystemParams(n=21, m=2, r=0.1, p=0.5), rng_from(0)))
