@@ -12,11 +12,12 @@ limit, n = 20, where no user is heard at seed 20259 and two are at the other
 seeds, and a ``tabulate`` line with 50 disks and two sample blocks per
 placement, at seeds 20259, 7 and 2^32.  A small ``sweep`` line runs at seed
 2^64 only, whose entropies numpy's own ``SeedSequence`` hashes.  Each runs
-at one and two worker processes, as ``python -m mbaloha`` from the
-checkout's ``src/`` in a fresh temporary directory.  Every command prints one line per output: the sha256
-of each output file, of stdout and of stderr, and the exit code.  Run it
-once on each of two checkouts and ``diff`` the two listings to see whether a
-change kept the command line's outputs byte-identical:
+on one, two and three processes (three leave shares of unequal length), as
+``python -m mbaloha`` from the checkout's ``src/`` in a fresh temporary
+directory.  Every command prints one line per output: the sha256 of each
+output file, of stdout and of stderr, and the exit code.  Run it once on
+each of two checkouts and ``diff`` the two listings to see whether a change
+kept the command line's outputs byte-identical:
 
     python scripts/output_digests.py > change.txt
     python scripts/output_digests.py --checkout ../parent > parent.txt
@@ -33,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (20259, 7, 2**32)
-THREADS = (1, 2)
+THREADS = (1, 2, 3)
 TABLE = "moments.txt"
 
 # The composite grid of scripts/gbullet_curves.py: step 0.005 up to G = 0.30,

@@ -130,7 +130,8 @@ def _thread_count(spec: str) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
     sub.add_argument(
-        "--threads", type=_thread_count, default=0, help="worker processes, 0 = one per core this process may use"
+        "--threads", type=_thread_count, default=0,
+        help="processes, this one included, or 1 without os.fork; 0 = one per core this process may use",
     )
     sub.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
 

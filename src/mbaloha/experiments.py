@@ -6,23 +6,25 @@ of normalized loads G; every (grid point, run) slot draws its own substream
 from (seed, n, run), so results are identical for any worker count and any
 grid subset.  A command's work items, the slots of one sweep or of every
 lambda's sweep for the max-load metric, or the placements of a tabulation,
-run on one process pool in a few jobs of about equal total weight; a job may
-span grid points and lambdas, and seeds all its items' substreams in one
-``geometry.substreams`` pass.  Sweeps and the max-load metric share one
-post-pass over the per-run counts: the pooled estimator of P(collected |
-active) divides total collected by total active across runs, with a
-linearized ratio standard error, for every grid point and both decoders at
-once; both are 0 where no user was active.  The max-load metric smooths
-these probabilities over the grid points with users and thresholds them for
-every eps and both decoders at once.
+are dealt out to k processes in strided shares, every k-th item to one
+process, so each share holds the same mix of grid points, lambdas and runs;
+a share seeds all its items' substreams in one ``geometry.substreams`` pass.
+Sweeps and the max-load metric share one post-pass over the per-run counts:
+the pooled estimator of P(collected | active) divides total collected by
+total active across runs, with a linearized ratio standard error, for every
+grid point and both decoders at once; both are 0 where no user was active.
+The max-load metric smooths these probabilities over the grid points with
+users and thresholds them for every eps and both decoders at once.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -34,10 +36,6 @@ from .scenario import SystemParams, build_adjacency, generate_instance
 # Slots of one job decoded per kernel call, so memory does not grow with the
 # run count.
 RUN_BLOCK = 128
-
-# Jobs per worker process: enough that the workers finish close together,
-# few enough that pool dispatch stays cheap.
-JOBS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -115,36 +113,91 @@ class GBulletCell(NamedTuple):
     gbullet_coop: float
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A ``concurrent.futures`` process pool, imported on first use.
+class ProcessPoolExecutor:
+    """Runs one job per process: the first in this one, each other in a forked child.
 
-    Only a run of more than one job opens a pool, so the import (with
-    ``multiprocessing``, ``socket`` and ``subprocess``) is left to it.
-    ``_run_jobs`` looks this name up when it calls it, so it can be replaced
-    by any executor with the same ``map`` and context manager.
+    ``max_workers`` is the job count, as each job gets its own process.  A
+    child pickles its rows, or the exception it raised, back through a pipe
+    and leaves by ``os._exit``, so no stdio buffer or exit handler of this
+    process runs twice.  ``_run_jobs`` looks this name up when it calls it,
+    so it can be replaced by any executor with the same ``map``.
     """
-    import concurrent.futures
 
-    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+
+    def map(self, fn, jobs) -> list:
+        """``fn`` of each job, in job order; re-raises the first job's failure."""
+        children = {}  # pid -> the read end of its pipe
+        try:
+            for job in jobs[1:]:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(fn, job, write)
+                except OSError:
+                    os.close(read)
+                    raise
+                finally:
+                    os.close(write)
+                children[pid] = open(read, "rb")
+            results = [fn(jobs[0])]
+            for pid, pipe in list(children.items()):
+                data = pipe.read()
+                if not data:
+                    pipe.close()
+                    del children[pid]
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise ChildProcessError(f"worker process {pid} ended without a result, exit status {status}")
+                rows, exc = pickle.loads(data)
+                if exc is not None:
+                    raise exc
+                results.append(rows)
+            return results
+        except BaseException:
+            import signal  # only here: its import costs about 1 ms of every command's start-up
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, pipe in children.items():
+                pipe.close()
+                os.waitpid(pid, 0)
 
 
-def _run_jobs(work, items, weights, workers: int | None) -> np.ndarray:
+def _child(fn, job, write: int) -> NoReturn:
+    """In a forked child: send ``(fn(job), None)``, or ``(None, exc)``, down ``write`` and exit."""
+    code = 1
+    try:
+        try:
+            result = (fn(job), None)
+        except BaseException as exc:
+            result = (None, exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_jobs(work, items, workers: int | None) -> np.ndarray:
     """Map ``work`` over ``items`` and return its rows in item order.
 
-    ``work`` takes a contiguous slice of ``items`` and returns one row per
-    item.  The items are cut into contiguous jobs of about equal total
-    weight, ``JOBS_PER_WORKER`` per worker, which run on one process pool
-    of no more processes than jobs; a single job runs in this process.
+    ``work`` takes a slice of ``items`` and returns one row per item.  With
+    k = min(workers, len(items)) > 1 the items are cut into k strided
+    shares, ``items[w::k]``, each run in its own process, this one included;
+    where ``os.fork`` is missing, or k is 1, they all run in this process.
     """
-    n_jobs = JOBS_PER_WORKER * workers if workers is not None and workers > 1 else 1
-    total = np.cumsum(weights)
-    # Job j ends at the first item where the weight reaches j / n_jobs of the total.
-    ends = np.unique(np.searchsorted(total, total[-1] * np.arange(1, n_jobs + 1) / n_jobs) + 1)
-    if len(ends) == 1:
+    k = min(workers or 1, len(items)) if hasattr(os, "fork") else 1
+    if k <= 1:
         return work(items)
-    jobs = [items[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return np.concatenate(list(pool.map(work, jobs)))
+    parts = ProcessPoolExecutor(max_workers=k).map(work, [items[w::k] for w in range(k)])
+    out = np.empty((len(items), *parts[0].shape[1:]), parts[0].dtype)
+    for w, part in enumerate(parts):
+        out[w::k] = part
+    return out
 
 
 def _simulate_runs(slots) -> np.ndarray:
@@ -187,8 +240,8 @@ def _simulate(configs: list[SweepConfig], workers: int | None) -> list[tuple[np.
     array (points, 3, runs): the per-run active and collected counts of
     ``_simulate_runs`` as three rows, all zero where the point has no users.
     The (config, point, run) slots of the points with users run on
-    ``_run_jobs``, weighted by their users; every slot draws its own
-    substream, so the cut changes no result.
+    ``_run_jobs``; every slot draws its own substream, so the shares change
+    no result.
     """
     users = [np.array([c.realized_users(g) for g in c.g_grid]) for c in configs]
     points = [
@@ -196,7 +249,7 @@ def _simulate(configs: list[SweepConfig], workers: int | None) -> list[tuple[np.
     ]
     slots = [(params, c.seed, run) for c, params in points for run in range(c.runs_per_point)]
     if slots:
-        rest = _run_jobs(_simulate_runs, slots, [params.n for params, _, _ in slots], workers)
+        rest = _run_jobs(_simulate_runs, slots, workers)
     else:
         rest = np.zeros((0, 3), dtype=np.int64)
     results = []
@@ -365,8 +418,8 @@ def tabulate_moments(
     Each placement nests k = 2..k_max: its first k centers give alpha_k,
     all from one point set.  Placement j samples from an independent
     substream derived from ``(seed, j)``, so the result is identical for any
-    worker count.  The placements run on ``_run_jobs``, equally weighted;
-    moments are computed in a single aggregation pass, one k at a time.
+    worker count.  The placements run on ``_run_jobs``; moments are
+    computed in a single aggregation pass, one k at a time.
     """
     for name, v in (
         ("k_max", k_max),
@@ -381,7 +434,7 @@ def tabulate_moments(
     moments = np.ones((k_max, s_max))
     if k_max > 1:
         work = partial(placement_alphas, seed, k_max, samples_per_placement)
-        alphas = _run_jobs(work, range(placements_per_k), np.ones(placements_per_k), workers)
+        alphas = _run_jobs(work, range(placements_per_k), workers)
         powers = np.arange(1, s_max + 1)
         for k in range(2, k_max + 1):
             moments[k - 1] = (alphas[:, k - 2, None] ** powers[None, :]).mean(axis=0)

@@ -149,13 +149,75 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.txt"]
 
 
+# Runs a tiny ``gbullet --threads 2 --out argv[2]`` through ``cli.main`` in
+# this interpreter, with ``experiments._simulate_runs`` as argv[1] says: "ok"
+# leaves it alone; with "raise" every forked child raises, and with "die" it
+# exits with status 3 before it sends its rows; with "stop" the calling
+# process's share raises while the children sleep for a minute.  Prints the
+# exit code, whether a child process is left unreaped, and which of the pool
+# modules are loaded.
+FORKED_GBULLET = """
+import os, sys, time
+from mbaloha import cli, experiments
+
+parent = os.getpid()
+simulate_runs = experiments._simulate_runs
+
+def misbehave(slots):
+    mode = sys.argv[1]
+    if os.getpid() == parent:
+        if mode == "stop":
+            raise ValueError("the calling process's share failed")
+    elif mode == "raise":
+        raise ValueError(f"a share of {len(slots)} slots failed in a worker")
+    elif mode == "die":
+        os._exit(3)
+    elif mode == "stop":
+        time.sleep(60)
+    return simulate_runs(slots)
+
+experiments._simulate_runs = misbehave
+code = cli.main(["gbullet", "--m", "10", "--p", "0.5", "--grid", "0:0.2:0.1", "--runs", "3",
+                 "--lambdas", "0.5,0.8", "--threads", "2", "--out", sys.argv[2]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(code, left, sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+"""
+
+
 class TestImports:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # Only a run of more than one job opens a pool, so only it imports one.
+        # Worker processes are forked by hand, so the import loads no process
+        # pool; TestWorkerProcesses checks that a run on two processes loads
+        # none either.
         code = "import sys, mbaloha.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize(
+        "mode, code, message",
+        [
+            ("ok", 0, ""),
+            ("raise", 2, "mbaloha gbullet: error: a share of 6 slots failed in a worker\n"),
+            ("die", 2, "exit status 3\n"),
+            ("stop", 2, "mbaloha gbullet: error: the calling process's share failed\n"),
+        ],
+        ids=["ok", "raise", "die", "stop"],
+    )
+    def test_forked_gbullet_leaves_no_child_and_no_pool(self, tmp_path, mode, code, message):
+        out = tmp_path / "g.csv"
+        res = subprocess.run(
+            [sys.executable, "-c", FORKED_GBULLET, mode, str(out)], capture_output=True, text=True, timeout=30
+        )
+        assert res.stdout == f"{code} False []\n", res.stderr
+        assert res.stderr.endswith(message) and "Traceback" not in res.stderr
+        assert out.exists() == (code == 0)
 
 
 class TestSweepCommand:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,12 +45,6 @@ def counting_pool(monkeypatch):
             self.jobs = []
             opened.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
         def map(self, fn, iterable, chunksize=1):
             self.jobs = list(iterable)
             return [fn(job) for job in self.jobs]
@@ -71,6 +66,21 @@ def recording_simulate(monkeypatch):
 
     monkeypatch.setattr(experiments, "_simulate", record)
     return simulated
+
+
+@pytest.fixture
+def recording_run_jobs(monkeypatch):
+    """Records the rows ``experiments._run_jobs`` returns while the test runs."""
+    run_jobs = experiments._run_jobs
+    returned = []
+
+    def record(work, items, workers):
+        rows = run_jobs(work, items, workers)
+        returned.append(rows)
+        return rows
+
+    monkeypatch.setattr(experiments, "_run_jobs", record)
+    return returned
 
 
 def small_config(**overrides):
@@ -163,16 +173,14 @@ class TestSweepLoad:
             assert row.mc_prob_coop >= row.mc_prob_noncoop
             assert row.mc_T_coop >= row.mc_T_noncoop
 
-    def test_deterministic_and_worker_independent(self, monkeypatch):
+    def test_deterministic_and_worker_independent(self):
         a = render_sweep_csv(sweep_load(small_config()), "x")
         b = render_sweep_csv(sweep_load(small_config()), "x")
         assert a == b
-        for workers in (2, 3):
+        # 2 and 3 divide the 120 slots (2 grid points with users, 60 runs
+        # each) into equal shares; 7 leaves shares of 18 and 17 slots.
+        for workers in (2, 3, 7):
             assert render_sweep_csv(sweep_load(small_config(), workers=workers), "x") == a
-        # 1 gives one job per worker; 7 gives 14 jobs, cut across both grid points.
-        for per_worker in (1, 7):
-            monkeypatch.setattr(experiments, "JOBS_PER_WORKER", per_worker)
-            assert render_sweep_csv(sweep_load(small_config(), workers=2), "x") == a
 
     def test_no_more_workers_than_jobs(self, counting_pool):
         # One run at two loads is two slots, so two jobs however many workers.
@@ -286,10 +294,13 @@ class TestEstimateGbullet:
         assert counting_pool == []  # one job runs in this process
         assert estimate_gbullet(cfg, lambdas, (0.3, 0.5), workers=2) == want
         assert len(counting_pool) == 1
-        jobs = counting_pool[0].jobs
-        assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
-        # Slots are (params, seed, run); every job's users lie within one
-        # slot's users of an equal share.
+        [pool] = counting_pool
+        jobs = pool.jobs
+        assert len(jobs) == pool.max_workers == 2
+        # Slots are (params, seed, run), in (lambda, point, run) order: the
+        # two shares take the even and the odd slots.
+        assert [run for pair in zip(*jobs) for _, _, run in pair] == list(range(12)) * 3 * 3
+        # Every job's users lie within one slot's users of an equal share.
         users = [sum(params.n for params, _, _ in job) for job in jobs]
         largest = max(params.n for job in jobs for params, _, _ in job)
         assert all(abs(u - sum(users) / len(jobs)) < largest for u in users)
@@ -358,9 +369,50 @@ class TestTabulateMoments:
         pooled = tabulate_moments(**kwargs, workers=2)
         assert len(counting_pool) == 1
         jobs = counting_pool[0].jobs
-        assert 1 < len(jobs) <= experiments.JOBS_PER_WORKER * 2
-        assert [j for job in jobs for j in job] == list(range(300))  # one item per placement
+        assert [list(job) for job in jobs] == [list(range(0, 300, 2)), list(range(1, 300, 2))]  # strided shares
         assert np.array_equal(pooled.moments, serial.moments)
+
+
+class TestForkedShares:
+    """The fork executor, unreplaced, with shares of unequal length."""
+
+    def test_sweep_rows_in_slot_order(self, recording_run_jobs):
+        # 2 grid points with users, 7 runs each: 14 slots in shares of 5, 5 and 4.
+        config = small_config(runs_per_point=7)
+        serial = sweep_load(config, workers=1)
+        assert repr(sweep_load(config, workers=3)) == repr(serial)
+        one, three = recording_run_jobs
+        assert one.shape == (14, 3)
+        assert three.dtype == one.dtype and three.tobytes() == one.tobytes()
+
+    def test_tabulate_rows_in_placement_order(self, recording_run_jobs):
+        # 10 placements in shares of 3, 3, 2 and 2.
+        kwargs = dict(k_max=5, s_max=3, placements_per_k=10, samples_per_placement=200, seed=31)
+        serial = tabulate_moments(**kwargs, workers=1)
+        assert tabulate_moments(**kwargs, workers=4).moments.tobytes() == serial.moments.tobytes()
+        one, four = recording_run_jobs
+        assert one.shape == (10, 4)
+        assert four.dtype == one.dtype and four.tobytes() == one.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc/self/fd")
+    def test_failed_fork_closes_its_pipe_and_reaps_the_started_child(self, monkeypatch):
+        fork = os.fork
+        started = []
+
+        def second_fork_fails():
+            if started:
+                raise BlockingIOError("fork refused")
+            pid = fork()
+            started.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        open_files = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            experiments.ProcessPoolExecutor(max_workers=3).map(abs, [-1, -2, -3])
+        assert len(os.listdir("/proc/self/fd")) == open_files
+        with pytest.raises(ChildProcessError):
+            os.waitpid(started[0], os.WNOHANG)
 
 
 class TestResultRecords:
