@@ -164,7 +164,7 @@ def _cmd_tabulate(args) -> int:
     _write_atomic(args.out, format_moment_table(table))
     print(f"wrote {args.out} (sha256 {_checksum(args.out)})")
     print(
-        f"k_max={table.k_max} s_max={table.s_max} "
+        f"k_max={table.moments.shape[0]} s_max={table.moments.shape[1]} "
         f"placements={table.placements_per_k} samples={table.samples_per_placement} seed={table.seed}"
     )
     first = table.first_moments
@@ -206,8 +206,8 @@ def _cmd_sweep(args) -> int:
     alphas = None
     if args.moment_table is not None:
         table = MomentTable.load(args.moment_table)
-        if args.k_max > table.k_max:
-            raise ValueError(f"k_max={args.k_max} exceeds the table's k_max={table.k_max}")
+        if args.k_max > len(table.moments):
+            raise ValueError(f"k_max={args.k_max} exceeds the table's k_max={len(table.moments)}")
         alphas = table.first_moments[: args.k_max]
     rows = sweep_load(config, alphas, workers=_workers(args))
     csv = render_sweep_csv(rows, manifest.render())

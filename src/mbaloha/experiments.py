@@ -439,8 +439,6 @@ def tabulate_moments(
         for k in range(2, k_max + 1):
             moments[k - 1] = (alphas[:, k - 2, None] ** powers[None, :]).mean(axis=0)
     return MomentTable(
-        k_max=k_max,
-        s_max=s_max,
         moments=moments,
         placements_per_k=placements_per_k,
         samples_per_placement=samples_per_placement,

@@ -36,11 +36,13 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(w).generate_state(4, uint64)`` for each row ``w`` of ``words``.
+def _seed_pcg_states(words: list) -> np.ndarray:
+    """``SeedSequence(w).generate_state(4, uint64)`` for each row ``w`` of the four word columns ``words``.
 
-    Every value is a uint32 word held in a uint64 and masked to 32 bits after
-    each product, so the arithmetic is that of the hash, row by row.
+    An entropy of fewer than four words has zero columns in its place, as
+    SeedSequence pads its pool.  Every value is a uint32 word held in a
+    uint64 and masked to 32 bits after each product, so the arithmetic is
+    that of the hash, row by row.
     """
     hash_const = _INIT_A
 
@@ -55,16 +57,11 @@ def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
         value = (x * np.uint64(_MIX_L) - y * np.uint64(_MIX_R)) & _MASK32
         return value ^ value >> 16
 
-    n_words = words.shape[1]
-    zeros = np.zeros(len(words), dtype=np.uint64)
-    pool = [hashmix(words[:, i] if i < n_words else zeros) for i in range(_POOL_WORDS)]
+    pool = [hashmix(w) for w in words]
     for src in range(_POOL_WORDS):
         for dst in range(_POOL_WORDS):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_WORDS, n_words):
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
     hash_const = _INIT_B
     state = []
     for i in range(8):
@@ -76,50 +73,53 @@ def _seed_pcg_states(words: np.ndarray) -> np.ndarray:
     return np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
 
 
+def _split_words(items: list) -> list | None:
+    """The 32-bit word columns of ``items``, zero-padded to four, or None
+    unless the items are tuples of plain ints below 2**64 that all split into
+    one layout of at most four words."""
+    flat = list(chain.from_iterable(items))
+    # Exactly int: a float or a numpy integer would be cast without a check.
+    if len(set(map(len, items))) != 1 or not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        table = np.fromiter(flat, dtype=np.uint64, count=len(flat)).reshape(len(items), -1)
+    except OverflowError:  # a negative value, or one of 2**64 or more
+        return None
+    wide = table > _MASK32
+    if not (wide == wide[0]).all() or table.shape[1] + wide[0].sum() > _POOL_WORDS:
+        return None
+    words = []
+    for c, two in enumerate(wide[0].tolist()):
+        words.append(table[:, c] & np.uint64(_MASK32))
+        if two:
+            words.append(table[:, c] >> np.uint64(32))
+    return words + [np.zeros(len(items), dtype=np.uint64)] * (_POOL_WORDS - len(words))
+
+
 def _pcg_seeds(items: list) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, uint64)`` for each entropy ``e`` of ``items``, one row each.
 
-    When every item is a tuple of one length of Python ints below 2**64, as
-    every entropy is that the commands build from a seed below 2**64, the
-    items are split into uint32 words on arrays, one pass of the hash per
-    pattern of the columns that take two words.  Any other batch is seeded
-    by numpy's own SeedSequence, item by item.
+    A batch whose items all split into one layout of at most four 32-bit
+    words is hashed on arrays in one pass: every batch that ``sweep`` and
+    ``tabulate`` build from a seed below 2**64 does, and every ``gbullet``
+    batch unless a lambda's sub-seed falls below 2**32.  Any other batch is
+    seeded by numpy's own SeedSequence, item by item.
     """
-    flat = list(chain.from_iterable(items))
-    table = None
-    # Exactly int: a float or a numpy integer would be cast without a check.
-    if len(set(map(len, items))) == 1 and set(map(type, flat)) <= {int}:
-        try:
-            table = np.fromiter(flat, dtype=np.uint64, count=len(flat)).reshape(len(items), -1)
-        except OverflowError:  # a negative value, or one of 2**64 or more
-            pass
-    if table is None:
-        if not all(isinstance(v, (int, np.integer)) and v >= 0 for e in items for v in e):
-            raise ValueError("seed must be nonnegative")
-        states = [np.random.SeedSequence(e).generate_state(4, np.uint64) for e in items]
-        return np.array(states, dtype=np.uint64).reshape(-1, 4)
-    seeds = np.empty((len(items), 4), dtype=np.uint64)
-    wide = table > _MASK32
-    left = np.arange(len(items))
-    while left.size:
-        # The items of the first one's pattern, then the rest.
-        same = (wide[left] == wide[left[0]]).all(axis=1)
-        rows, left = left[same], left[~same]
-        part = table[rows]
-        words = []
-        for c, two in enumerate(wide[rows[0]].tolist()):
-            words.append(part[:, c] & np.uint64(_MASK32))
-            if two:
-                words.append(part[:, c] >> np.uint64(32))
-        seeds[rows] = _seed_pcg_states(np.stack(words, axis=1))
-    return seeds
+    words = _split_words(items)
+    if words is not None:
+        return _seed_pcg_states(words)
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for e in items for v in e):
+        raise ValueError("seed must be nonnegative")
+    states = [np.random.SeedSequence(e).generate_state(4, np.uint64) for e in items]
+    return np.array(states, dtype=np.uint64).reshape(-1, 4)
 
 
 def substreams(entropies) -> Iterator[np.random.Generator]:
     """Yield, per entropy, the generator ``np.random.default_rng(np.random.SeedSequence(entropy))``.
 
     Each entropy is a sequence of nonnegative ints, such as (seed, n, run).
-    ``_pcg_seeds`` gives every entropy's four SeedSequence words; PCG64's
+    ``_pcg_seeds`` gives every entropy's four SeedSequence words, on arrays
+    when the batch has one word layout and from numpy otherwise; PCG64's
     seeding step then runs per item, and the public ``bit_generator.state``
     setter reseeds one generator for every item.  So each yielded generator
     is valid only until the next one is drawn.
@@ -196,22 +196,19 @@ def sample_unit_disk(rng: np.random.Generator, count: int) -> np.ndarray:
 class MomentTable:
     """Tabulated moments of the normalized union-of-disks area.
 
-    ``moments[k-1, s-1]`` holds the s-th moment for k disks.  The k=1 row is
-    analytic (the distribution is a Dirac at 1).
+    ``moments[k-1, s-1]`` holds the s-th moment for k disks, in an array of
+    shape (k_max, s_max).  The k=1 row is analytic (the distribution is a
+    Dirac at 1).
     """
 
-    k_max: int
-    s_max: int
     moments: np.ndarray
     placements_per_k: int
     samples_per_placement: int
     seed: int
 
     def __post_init__(self) -> None:
-        if self.moments.shape != (self.k_max, self.s_max):
-            raise MomentTableError(
-                f"moments shape {self.moments.shape} != ({self.k_max}, {self.s_max})"
-            )
+        if self.moments.ndim != 2:
+            raise MomentTableError(f"moments must be 2-d, got shape {self.moments.shape}")
         self.validate()
 
     def validate(self) -> None:
@@ -225,7 +222,7 @@ class MomentTable:
             raise MomentTableError("first moments must lie in [1, 4]")
         if np.any(np.diff(first) < 0.0):
             raise MomentTableError("first moments must be nondecreasing in k")
-        if self.s_max > 1:
+        if m.shape[1] > 1:
             lo, hi = m[:, :-1], m[:, 1:]
             if np.any(hi < lo):
                 raise MomentTableError("moments must be nondecreasing in s")
@@ -246,8 +243,8 @@ def format_moment_table(table: MomentTable) -> str:
     lines = [
         "# mbaloha moment table",
         f"format_version {MOMENT_FILE_VERSION}",
-        f"k_max {table.k_max}",
-        f"s_max {table.s_max}",
+        f"k_max {table.moments.shape[0]}",
+        f"s_max {table.moments.shape[1]}",
         f"placements_per_k {table.placements_per_k}",
         f"samples_per_placement {table.samples_per_placement}",
         f"seed {table.seed}",
@@ -285,11 +282,8 @@ def parse_moment_table(text: str) -> MomentTable:
         raise MomentTableError("non-numeric moment entry") from exc
     if any(len(row) != s_max for row in entries):
         raise MomentTableError(f"expected {s_max} columns per row")
-    moments = np.array(entries)
     return MomentTable(
-        k_max=k_max,
-        s_max=s_max,
-        moments=moments,
+        moments=np.array(entries),
         placements_per_k=fields["placements_per_k"],
         samples_per_placement=fields["samples_per_placement"],
         seed=fields["seed"],

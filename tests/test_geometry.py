@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from mbaloha.experiments import tabulate_moments
 from mbaloha.geometry import (
     MomentTable,
     MomentTableError,
+    _pcg_seeds,
     disk_union_area,
     format_moment_table,
     parse_moment_table,
@@ -44,6 +46,10 @@ class TestUniformPoint:
             Point2(0.51, 0.0)
 
 
+def _refuse_seed_sequence(*args, **kwargs):
+    raise AssertionError("seeded by numpy's SeedSequence, not on arrays")
+
+
 def _gbullet_sub_seed(seed: int, lam: float) -> int:
     lam_bits = int(np.float64(lam).view(np.uint64))
     return int(np.random.SeedSequence([seed, lam_bits]).generate_state(1, np.uint64)[0])
@@ -52,7 +58,8 @@ def _gbullet_sub_seed(seed: int, lam: float) -> int:
 class TestSubstreams:
     # Two to seven uint32 words: placements (seed, j), slots (seed, n, run)
     # with seeds of one, two and three words, and the 64-bit sub-seeds of
-    # the max-load metric.
+    # the max-load metric.  One batch of all of them mixes word layouts, so
+    # numpy's own SeedSequence seeds it.
     ENTROPIES = [
         (0, 0),
         (20259, 17),
@@ -84,15 +91,73 @@ class TestSubstreams:
             for a, b in zip(draws, want):
                 assert a.tobytes() == b.tobytes(), entropy
 
-    def test_words_split_on_arrays_bit_identical_to_numpy_seeding(self):
-        # Entropies of one length, all plain ints below 2**64, are split into
-        # words on arrays: one and two words in each column, up to 2**64 - 1.
+    # Values that take one 32-bit word and values that take two, edges
+    # included.
+    ONE_WORD = (0, 1, 40, 400, 2**32 - 1)
+    TWO_WORDS = (2**32, 2**33 + 5, 2**40, 2**64 - 1, _gbullet_sub_seed(5, 3.0), _gbullet_sub_seed(20259, 6.0))
+
+    def _assert_numpy_streams(self, entropies, draws):
+        assert len(draws) == len(entropies)
+        for i, (entropy, got) in enumerate(zip(entropies, draws)):
+            want = self._draws(np.random.default_rng(np.random.SeedSequence(entropy)), 5 + i % 4, 2)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), entropy
+
+    def test_words_split_on_arrays_bit_identical_to_numpy_seeding(self, monkeypatch):
+        # One batch per layout of two to four words: each column takes one
+        # word in every item or two in every item.  numpy's SeedSequence is
+        # made to raise while the batch is seeded, so each is hashed on arrays.
+        layouts = [
+            layout
+            for cols in range(1, 5)
+            for layout in itertools.product((1, 2), repeat=cols)
+            if 2 <= sum(layout) <= 4
+        ]
+        assert len(layouts) == 10
+        for layout in layouts:
+            pools = [self.ONE_WORD if w == 1 else self.TWO_WORDS for w in layout]
+            entropies = [tuple(pool[(i + c) % len(pool)] for c, pool in enumerate(pools)) for i in range(7)]
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "SeedSequence", _refuse_seed_sequence)
+                draws = [self._draws(rng, 5 + i % 4, 2) for i, rng in enumerate(substreams(entropies))]
+            self._assert_numpy_streams(entropies, draws)
+
+    def test_mixed_word_layouts_bit_identical_to_numpy_seeding(self, monkeypatch):
+        # Plain ints below 2**64 of one tuple length, but in more than one
+        # layout and of up to six words: numpy's own SeedSequence seeds the
+        # batch, item by item.
         firsts = (0, 2**32 - 1, 2**32, 2**64 - 1, _gbullet_sub_seed(5, 3.0), _gbullet_sub_seed(20259, 6.0))
         entropies = [(a, b, c) for a in firsts for b, c in ((40, 0), (2**33 + 5, 7), (400, 2**40))]
-        for i, (entropy, rng) in enumerate(zip(entropies, substreams(entropies))):
-            want = self._draws(np.random.default_rng(np.random.SeedSequence(entropy)), 5 + i, 2)
-            for a, b in zip(self._draws(rng, 5 + i, 2), want):
-                assert a.tobytes() == b.tobytes(), entropy
+        seeded, numpy_seed_sequence = [], np.random.SeedSequence
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", lambda e: seeded.append(e) or numpy_seed_sequence(e))
+            draws = [self._draws(rng, 5 + i % 4, 2) for i, rng in enumerate(substreams(entropies))]
+        assert seeded == entropies
+        self._assert_numpy_streams(entropies, draws)
+
+    @pytest.mark.parametrize("seed", [20259, 2**32])
+    def test_command_batches_hashed_on_arrays(self, monkeypatch, seed):
+        # Batches shaped like each command's, with numpy's SeedSequence made
+        # to raise: a batch that left the array path would fail here.
+        grid_users = [round(0.05 * i * 100 / 0.25) for i in range(21)]  # sweep --m 100 --p 0.25
+        sub_seeds = [_gbullet_sub_seed(seed, lam) for lam in (2.0, 3.0, 4.0, 6.0)]
+        assert min(sub_seeds) > 2**32
+        batches = {
+            "sweep": [(seed, n, run) for n in grid_users for run in range(100)],
+            "gbullet": [(sub, n, run) for n in grid_users for sub in sub_seeds for run in range(8)][1::2],
+            "tabulate": [(seed, j) for j in range(500)],
+        }
+        for name, batch in batches.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "SeedSequence", _refuse_seed_sequence)
+                seeds = _pcg_seeds(batch)
+            assert seeds.shape == (len(batch), 4), name
+            for i in range(0, len(batch), 97):
+                want = np.random.SeedSequence(batch[i]).generate_state(4, np.uint64)
+                assert np.array_equal(seeds[i], want), (name, batch[i])
+
+    def test_empty_batch_gives_no_rows(self):
+        assert _pcg_seeds([]).shape == (0, 4)
 
     def test_one_seed_of_2_64_in_a_batch_of_3_tuples_bit_identical_to_numpy_seeding(self):
         # One entropy too wide for uint64 sends the whole batch to numpy's
@@ -281,8 +346,6 @@ def two_column_text(table):
     """The first two columns of ``table``, in the file format."""
     return format_moment_table(
         MomentTable(
-            k_max=table.k_max,
-            s_max=2,
             moments=table.moments[:, :2],
             placements_per_k=table.placements_per_k,
             samples_per_placement=table.samples_per_placement,
@@ -327,10 +390,7 @@ class TestMomentTableIO:
         base = tiny_table.moments[:, :1]
 
         def build(moments):
-            return MomentTable(
-                k_max=tiny_table.k_max, s_max=moments.shape[1], moments=moments,
-                placements_per_k=1, samples_per_placement=1, seed=0,
-            )
+            return MomentTable(moments=moments, placements_per_k=1, samples_per_placement=1, seed=0)
 
         bad = base.copy()
         bad[0, 0] = 0.999  # k=1 row must be exact
@@ -350,3 +410,5 @@ class TestMomentTableIO:
         bad = np.hstack([base, base * 5.0])  # ratio above 4
         with pytest.raises(MomentTableError):
             build(bad)
+        with pytest.raises(MomentTableError, match="2-d"):
+            build(base[:, 0])  # one moment per k, not a (k_max, s_max) array
