@@ -32,8 +32,9 @@ _CELLS_PER_R = 4
 # the rounding of the pair test and of the window ends (see its docstring).
 _ROUNDING_MARGIN = 2.0**-40
 
-# Candidate (station, user) pairs tested at a time by ``build_adjacency``,
-# so that its temporary arrays stay at a few MB for any number of slots.
+# Most candidate (station, user) pairs that ``build_adjacency`` tests in one
+# chunk, in place, so that a chunk's candidate indices and squared distances
+# stay at a few MB for any number of slots.  A chunk also ends where r changes.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -179,8 +180,12 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     margin is 2**12 times wider; a station's cell is a nondecreasing function
     of its x, so a station between the two ends lies in a cell of the run.
     Positions off the square fall in the edge cells.  The users are visited
-    in column order, ``_PAIR_CHUNK`` candidate pairs at a time, so the edges
-    come in ascending column order, as ``BipartiteGraph`` requires.
+    in column order, so the edges come in ascending column order, as
+    ``BipartiteGraph`` requires.  They are taken in chunks of at most
+    ``_PAIR_CHUNK`` candidate pairs, and a chunk ends where r changes from
+    one slot to the next: the whole chunk is tested in place against the one
+    ``r**2`` of its slots, with the operations of the test above in the same
+    order, so every edge is decided as by that test.
     """
     slots = instance.slots
     n_users = [s.n for s in slots]
@@ -205,12 +210,11 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
 
     users = np.flatnonzero(instance.active)
     ux, uy = (xy[users] for xy in instance.user_xy.T)
-    # Per active user: its slot's first cell, half-width of window and r**2.
+    # Per active user: its slot's first cell and half-width of window.
     bounds = np.searchsorted(users, np.cumsum([0, *n_users]))
     active_per_slot = bounds[1:] - bounds[:-1]
     base = np.repeat(first_cell, active_per_slot)
     reach = np.repeat(radius + _ROUNDING_MARGIN, active_per_slot)
-    r2 = np.repeat([s.r**2 for s in slots], active_per_slot)
     lo = starts[base + cell_of(ux - reach)]
     counts = starts[base + cell_of(ux + reach) + 1] - lo
 
@@ -218,20 +222,31 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     # ends[i]; pair f of user i tests the sorted station f + shift[i].
     ends = np.cumsum(counts)
     shift = lo - (ends - counts)
+    # Slots k0 up to k1 are a run of one r; its users end at bounds[k1].
+    changes = [k for k in range(1, len(slots)) if slots[k].r != slots[k - 1].r]
     empty = np.zeros(0, dtype=np.intp)
     stations, columns = [empty], [empty]
     i0 = 0
-    while i0 < users.size:
-        first = ends[i0] - counts[i0]
-        i1 = max(i0 + 1, int(np.searchsorted(ends, first + _PAIR_CHUNK, side="right")))
-        reps = counts[i0:i1]
-        cand = np.arange(first, ends[i1 - 1]) + np.repeat(shift[i0:i1], reps)
-        dx = sx[cand] - np.repeat(ux[i0:i1], reps)
-        dy = sy[cand] - np.repeat(uy[i0:i1], reps)
-        hit = np.flatnonzero(dx * dx + dy * dy <= np.repeat(r2[i0:i1], reps))
-        stations.append(order[cand[hit]])
-        columns.append(np.repeat(np.arange(i0, i1), reps)[hit])
-        i0 = i1
+    for k0, k1 in zip([0, *changes], [*changes, len(slots)]):
+        r2 = slots[k0].r ** 2
+        stop = int(bounds[k1])
+        while i0 < stop:
+            first = ends[i0] - counts[i0]
+            i1 = min(stop, max(i0 + 1, int(np.searchsorted(ends, first + _PAIR_CHUNK, side="right"))))
+            reps = counts[i0:i1]
+            cand = np.repeat(shift[i0:i1], reps)
+            cand += np.arange(first, ends[i1 - 1])
+            dx = sx[cand]
+            dx -= np.repeat(ux[i0:i1], reps)
+            dx *= dx
+            dy = sy[cand]
+            dy -= np.repeat(uy[i0:i1], reps)
+            dy *= dy
+            dx += dy
+            hit = np.flatnonzero(dx <= r2)
+            stations.append(order[cand[hit]])
+            columns.append(np.repeat(np.arange(i0, i1), reps)[hit])
+            i0 = i1
     return BipartiteGraph(sum(n_stations), sum(n_users), users, np.concatenate(stations), np.concatenate(columns))
 
 

@@ -516,8 +516,10 @@ class TestOutputDigests:
     """Fixed-seed outputs pinned by digest, so that a change to an RNG stream,
     to the decoders or to the counting shows up as a failure.  The manifest
     line is part of the file, so a version bump changes the digests too.
-    Each output is pinned in one process and on a pool of two workers, and
-    again at seed 2^32, a two-word seed: its sweep slots hash four words
+    Each output is pinned with ``--threads 1`` and with ``--threads 2``,
+    which runs one strided share in the calling process and forks one child
+    for the other (on a system with ``os.fork``), and again at seed 2^32, a
+    two-word seed: its sweep slots hash four words
     each and its placements three.  At seed 2^64 the entropies are seeded by
     numpy's own ``SeedSequence``, item by item.  A 50-disk tabulate line
     spans two sample blocks per placement.  On the shipped table, a sweep

@@ -251,22 +251,32 @@ def boundary_instance(
     return NetworkInstance(params, np.array(users), np.array(stations), np.ones(len(users), dtype=bool))
 
 
+EXACT_RADII = [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123]
+
+
 class TestBlockAdjacency:
     """The graph of many slots built at once against the all-pairs test."""
 
-    @pytest.mark.parametrize("r", [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
+    @pytest.mark.parametrize("r", EXACT_RADII)
     def test_exact_distance_pairs_alone(self, r):
         assert check_block([boundary_instance(r)]).station.size > 0
 
-    @pytest.mark.parametrize("r", [0.25, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
-    def test_exact_distance_pairs_in_last_of_128_slots(self, r):
+    # The slots before the last have radius r, or the next radius of the
+    # list, larger or smaller: the last slot's pairs at exactly r and one
+    # float step beyond are then decided by the last run's r**2 alone.
+    @pytest.mark.parametrize(
+        "r, before",
+        [pytest.param(r, r, id=f"{r}") for r in EXACT_RADII]
+        + [pytest.param(r, b, id=f"{r}-after-{b}") for r, b in zip(EXACT_RADII, EXACT_RADII[1:] + EXACT_RADII[:1])],
+    )
+    def test_exact_distance_pairs_in_last_of_128_slots(self, r, before):
         rng = rng_from(77)
-        instances = [generate_instance(SystemParams(n=12, m=6, r=r, p=0.5), rng) for _ in range(125)]
-        silent = generate_instance(SystemParams(n=5, m=4, r=r, p=0.5), rng)
+        instances = [generate_instance(SystemParams(n=12, m=6, r=before, p=0.5), rng) for _ in range(125)]
+        silent = generate_instance(SystemParams(n=5, m=4, r=before, p=0.5), rng)
         no_users = NetworkInstance(silent.params, silent.user_xy, silent.station_xy, np.zeros(5, dtype=bool))
         # Active users in one corner, stations in the opposite one: no edge.
         far = NetworkInstance(
-            SystemParams(n=3, m=2, r=r, p=1.0),
+            SystemParams(n=3, m=2, r=before, p=1.0),
             np.full((3, 2), -0.5),
             np.full((2, 2), 0.5),
             np.ones(3, dtype=bool),
@@ -314,6 +324,16 @@ def check_block(instances, reference=pairwise_incidence):
     return union
 
 
+def gbullet_share(lambdas, ns, runs, workers, m=100, p=0.25) -> list[SystemParams]:
+    """The slots of the first share of a Monte Carlo pass over the lambdas,
+    laid out as ``experiments._simulate`` lays them out: in (lambda, point,
+    run) order, every ``workers``-th slot."""
+    slots = [
+        SystemParams(n=n, m=m, r=math.sqrt(lam / (m * math.pi)), p=p) for lam in lambdas for n in ns for _ in range(runs)
+    ]
+    return slots[::workers]
+
+
 def cells_per_slot(instances) -> int:
     """The x-cells of each slot of ``build_adjacency``: about ``_CELLS_PER_R``
     per smallest r, but no more than the largest m."""
@@ -330,6 +350,25 @@ class TestCellWindows:
         params = [SystemParams(n=400, m=100, r=math.sqrt(lam / (100 * math.pi)), p=0.25) for lam in (2, 3, 4, 6)]
         instances = [generate_instance(params[k % 4], rng) for k in range(128)]
         assert check_block(instances, dense_incidence).station.size > 2 * _PAIR_CHUNK
+        # Blocks of a strided share: the radius comes in runs, changes
+        # mid-block and returns to an earlier radius, and the slot at each
+        # change has no active users.  The small slots' candidate pairs are
+        # fewer than _PAIR_CHUNK, so a chunk that ignored r would span the
+        # whole block; the large ones' fill about nine chunks.
+        for lambdas, ns in [((2, 6, 2), (2, 4, 6, 8)), ((3, 6, 3), (240, 320))]:
+            share = gbullet_share(lambdas, ns, runs=64 // len(ns), workers=2)
+            instances = [generate_instance(params, rng) for params in share]
+            changes = [k for k in range(1, len(share)) if share[k].r != share[k - 1].r]
+            assert changes == [32, 64] and share[0].r == share[-1].r
+            for k in changes:
+                inst = instances[k]
+                instances[k] = NetworkInstance(inst.params, inst.user_xy, inst.station_xy, np.zeros_like(inst.active))
+            pairs = sum(int(inst.active.sum()) * inst.params.m for inst in instances)
+            assert pairs < _PAIR_CHUNK if ns[0] < 100 else pairs > 8 * _PAIR_CHUNK
+            union = check_block(instances, dense_incidence)
+            # Every run of one radius has edges.
+            slot = np.searchsorted(np.cumsum([inst.params.m for inst in instances]), union.station, side="right")
+            assert np.unique(np.searchsorted(changes, slot, side="right")).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("r", [0.125, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
     def test_window_ends_on_cell_edges(self, r):
