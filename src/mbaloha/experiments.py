@@ -4,11 +4,14 @@ metric, and the tabulation of area moments.
 A sweep fixes (m, p, lambda) and varies the user count n to realize a grid
 of normalized loads G; every (grid point, run) slot draws its own substream
 from (seed, n, run), so results are identical for any worker count and any
-grid subset.  A command's work items, the slots of one sweep or of every
-lambda's sweep for the max-load metric, or the placements of a tabulation,
-are dealt out to k processes in strided shares, every k-th item to one
-process, so each share holds the same mix of grid points, lambdas and runs;
-a share seeds all its items' substreams in one ``geometry.substreams`` pass.
+grid subset.  The max-load metric runs the sweeps of many lambdas, which
+differ only in the radius r: each slot is drawn and its graph built once,
+at the largest r, and decoded at every lambda's r, so each lambda's counts
+are those of its own sweep at the same seed.  A command's work items, the
+slots of a sweep or of the max-load metric, or the placements of a
+tabulation, are dealt out to k processes in strided shares, every k-th item
+to one process, so each share holds the same mix of grid points and runs; a
+share seeds all its items' substreams in one ``geometry.substreams`` pass.
 Sweeps and the max-load metric share one post-pass over the per-run counts:
 the pooled estimator of P(collected | active) divides total collected by
 total active across runs, with a linearized ratio standard error, for every
@@ -31,7 +34,7 @@ import numpy as np
 from .analytics import collection_prob_noncoop_asymptotic, heuristic_coop, lower_bound_noncoop
 from .decoders import decode_cooperative, decode_noncooperative
 from .geometry import MomentTable, placement_alphas, substreams
-from .scenario import SystemParams, build_adjacency, generate_instance
+from .scenario import SystemParams, build_adjacency, generate_instance, restrict_adjacency
 
 # Slots of one job decoded per kernel call, so memory does not grow with the
 # run count.
@@ -201,66 +204,63 @@ def _run_jobs(work, items, workers: int | None) -> np.ndarray:
 
 
 def _simulate_runs(slots) -> np.ndarray:
-    """Worker: decode the given slots, in order.
+    """Worker: decode the given slots, in order, at each of their radii.
 
-    Slot ``(params, seed, run)`` is run ``run`` of the grid point with
-    ``params`` and draws from (seed, params.n, run).  The slots are drawn and
-    decoded ``RUN_BLOCK`` at a time: one ``generate_instance`` call draws a
-    block from the job's substreams, and one graph, the disjoint union of
-    its slots' graphs, decodes it, whatever grid point or lambda the slots
-    come from.  Returns one row per slot: the active users and the users
-    collected by each decoder.
+    Slot ``(params, radii, seed, run)`` is run ``run`` of the grid point with
+    ``params`` and draws from (seed, params.n, run); ``params.r`` is the
+    largest of ``radii``, which every slot of a call shares.  The slots are
+    drawn and decoded ``RUN_BLOCK`` at a time: one ``generate_instance`` call
+    draws a block from the job's substreams, and one graph, the disjoint
+    union of its slots' graphs, is built at ``params.r``.
+    ``restrict_adjacency`` cuts from it the union at each radius, and each
+    is decoded whole.  Returns one row per slot: for each radius in order,
+    the active users and the users collected by each decoder.
     """
+    radii = slots[0][1]
     counts = []
-    streams = substreams((seed, params.n, run) for params, seed, run in slots)
+    streams = substreams((seed, params.n, run) for params, _, seed, run in slots)
     for start in range(0, len(slots), RUN_BLOCK):
-        block = tuple(params for params, _, _ in slots[start : start + RUN_BLOCK])
-        union = build_adjacency(generate_instance(block, streams))
+        block = tuple(params for params, _, _, _ in slots[start : start + RUN_BLOCK])
+        instance = generate_instance(block, streams)
+        union = build_adjacency(instance)
         # The union's users are the slots' users in order, n per slot.
         n_users = np.array([params.n for params in block])
         ends = np.cumsum(n_users)
         offsets = ends - n_users
-        counts.append(
-            np.stack(
-                [
-                    np.diff(np.searchsorted(union.users, ends), prepend=0),
-                    np.add.reduceat(decode_noncooperative(union).collected, offsets, dtype=np.int64),
-                    np.add.reduceat(decode_cooperative(union).collected, offsets, dtype=np.int64),
-                ],
-                axis=1,
-            )
-        )
+        active = np.diff(np.searchsorted(union.users, ends), prepend=0)
+        columns = []
+        for graph in restrict_adjacency(instance, union, radii):
+            columns += [
+                active,
+                np.add.reduceat(decode_noncooperative(graph).collected, offsets, dtype=np.int64),
+                np.add.reduceat(decode_cooperative(graph).collected, offsets, dtype=np.int64),
+            ]
+        counts.append(np.stack(columns, axis=1))
     return np.concatenate(counts)
 
 
 def _simulate(configs: list[SweepConfig], workers: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One Monte Carlo pass over every grid point of every config.
+    """One Monte Carlo pass over every grid point of configs that differ only in lambda.
 
     Returns, per config, the realized user count of each grid point and an
     array (points, 3, runs): the per-run active and collected counts of
     ``_simulate_runs`` as three rows, all zero where the point has no users.
-    The (config, point, run) slots of the points with users run on
-    ``_run_jobs``; every slot draws its own substream, so the shares change
-    no result.
+    The (point, run) slots of the points with users run on ``_run_jobs``,
+    each drawn once, from (seed, n, run) as a sweep draws it, and decoded at
+    every config's radius; every slot draws its own substream, so the shares
+    change no result, and each config's counts are those of its own sweep.
     """
-    users = [np.array([c.realized_users(g) for g in c.g_grid]) for c in configs]
-    points = [
-        (c, SystemParams(n=n, m=c.m, r=c.r, p=c.p)) for c, ns in zip(configs, users) for n in ns.tolist() if n > 0
-    ]
-    slots = [(params, c.seed, run) for c, params in points for run in range(c.runs_per_point)]
+    first = configs[0]
+    runs = first.runs_per_point
+    users = np.array([first.realized_users(g) for g in first.g_grid])
+    radii = tuple(c.r for c in configs)
+    points = [SystemParams(n=n, m=first.m, r=max(radii), p=first.p) for n in users.tolist() if n > 0]
+    slots = [(params, radii, first.seed, run) for params in points for run in range(runs)]
+    counts = np.zeros((len(configs), len(users), 3, runs), dtype=np.int64)
     if slots:
-        rest = _run_jobs(_simulate_runs, slots, workers)
-    else:
-        rest = np.zeros((0, 3), dtype=np.int64)
-    results = []
-    for c, ns in zip(configs, users):
-        live = ns > 0
-        runs = c.runs_per_point
-        done, rest = np.split(rest, [live.sum() * runs])
-        counts = np.zeros((len(ns), 3, runs), dtype=np.int64)
-        counts[live] = done.reshape(-1, runs, 3).transpose(0, 2, 1)
-        results.append((ns, counts))
-    return results
+        rows = _run_jobs(_simulate_runs, slots, workers)
+        counts[:, users > 0] = rows.reshape(len(points), runs, len(configs), 3).transpose(2, 0, 3, 1)
+    return [(users, c) for c in counts]
 
 
 def _pooled(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,31 +376,28 @@ def estimate_gbullet(
 ) -> list[GBulletCell]:
     """Estimate the max load G(lambda, eps) for both decoders by simulation.
 
-    Each lambda cell derives its sweep seed from the float bits of lambda, so
-    rerunning any subset of the grid reproduces the full run's cells.  The
-    sweeps of all lambdas run as one Monte Carlo pass.  Over the grid points
-    with users, each decoder's pooled probabilities are smoothed (window 3,
-    ``_moving_average3``) and thresholded (``_max_loads``) for every eps at
-    once; with no such point every cell is 0.  The lambda and eps lists must
-    be nonempty and every eps in (0, 1), checked before any simulation.
+    The sweeps of all lambdas run as one Monte Carlo pass (``_simulate``):
+    each (grid point, run) slot draws once, from the stream that ``sweep``
+    gives it at ``config.seed``, and is decoded at every lambda's radius.
+    So each lambda's counts are those of its own sweep, and rerunning any
+    subset of the grid reproduces the full run's cells.  Over the grid
+    points with users, each decoder's pooled probabilities are smoothed
+    (window 3, ``_moving_average3``) and thresholded (``_max_loads``) for
+    every eps at once; with no such point every cell is 0.  The lambda and
+    eps lists must be nonempty and every eps in (0, 1), checked before any
+    simulation.
     """
     if not lambda_grid or not eps_list:
         raise ValueError("lambda grid and eps list must be nonempty")
     for eps in eps_list:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    subs = []
-    for lam in lambda_grid:
-        lam_bits = int(np.float64(lam).view(np.uint64))
-        sub_seed = int(
-            np.random.SeedSequence([config.seed, lam_bits]).generate_state(1, np.uint64)[0]
-        )
-        subs.append(replace(config, lambda_target=lam, seed=sub_seed))
+    configs = [replace(config, lambda_target=lam) for lam in lambda_grid]
     cells: list[GBulletCell] = []
-    for lam, sub, (users, counts) in zip(lambda_grid, subs, _simulate(subs, workers)):
+    for lam, (users, counts) in zip(lambda_grid, _simulate(configs, workers)):
         live = users > 0
         smoothed = _moving_average3(_pooled(counts[live])[0])
-        loads = _max_loads(lam, np.array(eps_list), users[live] * sub.p / sub.m, smoothed)
+        loads = _max_loads(lam, np.array(eps_list), users[live] * config.p / config.m, smoothed)
         cells += [GBulletCell(lam, eps, g_nc, g_coop) for eps, (g_nc, g_coop) in zip(eps_list, loads.tolist())]
     return cells
 

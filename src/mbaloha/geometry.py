@@ -100,10 +100,9 @@ def _pcg_seeds(items: list) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, uint64)`` for each entropy ``e`` of ``items``, one row each.
 
     A batch whose items all split into one layout of at most four 32-bit
-    words is hashed on arrays in one pass: every batch that ``sweep`` and
-    ``tabulate`` build from a seed below 2**64 does, and every ``gbullet``
-    batch unless a lambda's sub-seed falls below 2**32.  Any other batch is
-    seeded by numpy's own SeedSequence, item by item.
+    words is hashed on arrays in one pass: every batch that ``sweep``,
+    ``gbullet`` and ``tabulate`` build from a seed below 2**64 does.  Any
+    other batch is seeded by numpy's own SeedSequence, item by item.
     """
     words = _split_words(items)
     if words is not None:

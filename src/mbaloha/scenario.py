@@ -10,7 +10,8 @@ the column of the active user it hears.
 in one pass; a block's graph is the disjoint union of its slots' graphs, so
 that many slots are decoded in one kernel call.  It counts the stations per
 x-cell of each slot and finds each user's candidate stations as the run of
-cells that spans its disk.
+cells that spans its disk.  ``restrict_adjacency`` cuts the graph at any
+smaller radius from it, so one build serves every radius of a block.
 """
 
 from __future__ import annotations
@@ -248,6 +249,40 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
             columns.append(np.repeat(np.arange(i0, i1), reps)[hit])
             i0 = i1
     return BipartiteGraph(sum(n_stations), sum(n_users), users, np.concatenate(stations), np.concatenate(columns))
+
+
+def restrict_adjacency(instance: NetworkInstance, graph: BipartiteGraph, radii) -> list[BipartiteGraph]:
+    """The graph of ``instance`` at each radius of ``radii``, cut from ``graph = build_adjacency(instance)``.
+
+    No radius may exceed the r of a slot of ``instance``; at a radius equal
+    to every slot's r the graph is ``graph`` itself.  At a smaller r an edge
+    stays if ``dx*dx + dy*dy <= r**2``, its squared distance worked out from
+    its station's and its user's positions with the operations of the pair
+    test of ``build_adjacency``, in the same order.  So the test value is
+    the one ``build_adjacency`` compared, and every pair within r is an edge
+    of ``graph``, since r**2 is at most each slot's rounded r**2: the edges
+    are those that ``build_adjacency`` finds at r, in ascending column
+    order.  Only the order of a column's stations may differ, as ``graph``'s
+    cells follow the larger r; no round of ``decoders._peel`` depends on it.
+    """
+    slots = instance.slots
+    graphs = []
+    d2 = None
+    for r in radii:
+        if all(s.r == r for s in slots):
+            graphs.append(graph)
+            continue
+        if not all(r <= s.r for s in slots):
+            raise ValueError(f"radius {r} exceeds the radius of a slot")
+        if d2 is None:
+            # np.take gathers rows several times faster than indexing does.
+            d = np.take(instance.station_xy, graph.station, axis=0)
+            d -= np.take(instance.user_xy, graph.users[graph.column], axis=0)
+            d *= d
+            d2 = d[:, 0] + d[:, 1]
+        keep = np.flatnonzero(d2 <= r**2)
+        graphs.append(graph._replace(station=graph.station[keep], column=graph.column[keep]))
+    return graphs
 
 
 def dump_instance(instance: NetworkInstance) -> str:

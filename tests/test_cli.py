@@ -204,7 +204,7 @@ class TestWorkerProcesses:
         "mode, code, message",
         [
             ("ok", 0, ""),
-            ("raise", 2, "mbaloha gbullet: error: a share of 6 slots failed in a worker\n"),
+            ("raise", 2, "mbaloha gbullet: error: a share of 3 slots failed in a worker\n"),
             ("die", 2, "exit status 3\n"),
             ("stop", 2, "mbaloha gbullet: error: the calling process's share failed\n"),
         ],
@@ -540,7 +540,7 @@ class TestOutputDigests:
         pytest.param(
             ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
              "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
-            "d783b94b85c4423ddc3685ac897b63cd7de0ec2757f281a6c669ea9a1b0e390b",
+            "d687867f65b4e96cd6a7e1fe330515f3f85cd3579f274fa56c556c4e5caba200",
             id="gbullet",
         ),
         pytest.param(
@@ -564,13 +564,13 @@ class TestOutputDigests:
         pytest.param(
             ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "3,5", "--eps", "0.15,0.3",
              "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "4294967296"],
-            "a5a204aa2beb94486c3fd662d4eea3330239d760a699c3bf56d7798d1f0dffa3",
+            "f61bfa477ccc731087f060c28115d2e90be92bc9f0be3e541e879d9ac0173714",
             id="gbullet_seed_2_32",
         ),
         pytest.param(
             ["gbullet", "--m", "30", "--p", "0.25", "--lambdas", "1.5,4", "--eps", "0.15,0.3",
              "--grid", "0:0.8:0.02", "--runs", "20", "--seed", "5"],
-            "aaefb710ffcf464f0876d274c1c0f759ac7221197d9c99cf9df9b41f5a029e64",
+            "fc4590d53471ab53abe2611e4890ba44d9b74c17f0b2e41d35d54e27f431c050",
             id="gbullet_coverage_cutoff",
         ),
         pytest.param(

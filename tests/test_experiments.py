@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,15 +298,38 @@ class TestEstimateGbullet:
         [pool] = counting_pool
         jobs = pool.jobs
         assert len(jobs) == pool.max_workers == 2
-        # Slots are (params, seed, run), in (lambda, point, run) order: the
+        # Slots are (params, radii, seed, run), in (point, run) order: the
         # two shares take the even and the odd slots.
-        assert [run for pair in zip(*jobs) for _, _, run in pair] == list(range(12)) * 3 * 3
+        assert [run for pair in zip(*jobs) for *_, run in pair] == list(range(12)) * 3
+        # Every slot serves every lambda, drawn from the config's seed and
+        # built at the largest radius.
+        radii = tuple(replace(cfg, lambda_target=lam).r for lam in lambdas)
+        for params, slot_radii, seed, _ in (slot for job in jobs for slot in job):
+            assert (slot_radii, params.r, seed) == (radii, max(radii), cfg.seed)
         # Every job's users lie within one slot's users of an equal share.
-        users = [sum(params.n for params, _, _ in job) for job in jobs]
-        largest = max(params.n for job in jobs for params, _, _ in job)
+        users = [sum(params.n for params, *_ in job) for job in jobs]
+        largest = max(params.n for job in jobs for params, *_ in job)
         assert all(abs(u - sum(users) / len(jobs)) < largest for u in users)
-        assert sum(users) == len(lambdas) * 12 * sum(cfg.realized_users(g) for g in cfg.g_grid)
-        assert any(len({seed for _, seed, _ in job}) > 1 for job in jobs)  # a job spans two lambdas
+        assert sum(users) == 12 * sum(cfg.realized_users(g) for g in cfg.g_grid)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_threshold_each_lambdas_own_sweep(self, workers):
+        # Every cell is its lambda's sweep at the same seed, smoothed over
+        # the points with users and thresholded, bit for bit.  The largest
+        # lambda sits mid-list, and lambda 1.2 is below the coverage cut-off
+        # for eps 0.2: 1 - e^-1.2 < 0.8.
+        cfg = small_config(g_grid=(0.0, 0.05, 0.1, 0.2, 0.3, 0.5), runs_per_point=40)
+        lambdas, eps = (1.2, 3.5, 2.0), (0.2, 0.5)
+        want = []
+        for lam in lambdas:
+            rows = [row for row in sweep_load(replace(cfg, lambda_target=lam)) if row.n > 0]
+            probs = np.array([[row.mc_prob_noncoop, row.mc_prob_coop] for row in rows])
+            grid = np.array([row.G_realized for row in rows])
+            loads = experiments._max_loads(lam, np.array(eps), grid, experiments._moving_average3(probs))
+            want += [GBulletCell(lam, e, *load) for e, load in zip(eps, loads.tolist())]
+        assert estimate_gbullet(cfg, lambdas, eps, workers=workers) == want
+        assert want[0].gbullet_coop == 0.0
+        assert sum(cell.gbullet_noncoop > 0.0 for cell in want) >= 4
 
     def test_subset_rerun_matches_full(self):
         cfg = small_config(g_grid=(0.0, 0.1, 0.2, 0.3), runs_per_point=30)

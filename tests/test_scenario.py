@@ -27,6 +27,7 @@ from mbaloha.scenario import (
     dump_instance,
     generate_instance,
     parse_instance,
+    restrict_adjacency,
 )
 from points import is_adjacent, uniform_points
 from topologies import block_of, incidence
@@ -287,6 +288,66 @@ class TestBlockAdjacency:
         assert (union.station >= union.n_stations - instances[-1].params.m).any()
 
 
+def at_radius(instance: NetworkInstance, r: float) -> NetworkInstance:
+    """The instance with every slot's r set to ``r``."""
+    return dataclasses.replace(instance, params=tuple(dataclasses.replace(s, r=r) for s in instance.slots))
+
+
+class TestRestrictAdjacency:
+    """The graph at a smaller radius, cut from a block's graph, against the
+    block built at that radius."""
+
+    # The radii of the benchmark's max-load lambdas, 2, 3, 4 and 6, at m = 100,
+    # in an order that puts the largest neither first nor last.
+    RADII = tuple(math.sqrt(lam / (100 * math.pi)) for lam in (3, 6, 2, 4))
+    BIG = max(RADII)
+
+    @staticmethod
+    def _edges(graph):
+        return sorted(zip(graph.column.tolist(), graph.station.tolist()))
+
+    def _block(self, n, seed):
+        # Drawn slots, then one slot per smaller radius, in RADII order, with
+        # stations at exactly that radius from its users and one float step
+        # beyond.
+        rng = rng_from(seed)
+        drawn = [generate_instance(SystemParams(n=n, m=100, r=self.BIG, p=0.25), rng) for _ in range(128 - 3)]
+        return block_of(*drawn, *(at_radius(boundary_instance(r), self.BIG) for r in self.RADII if r < self.BIG))
+
+    @pytest.mark.parametrize("n, seed", [(40, 1811), (320, 1812)])
+    def test_cut_equals_build_at_each_radius(self, n, seed):
+        block = self._block(n, seed)
+        union = build_adjacency(block)
+        graphs = restrict_adjacency(block, union, self.RADII)
+        assert graphs[self.RADII.index(self.BIG)] is union
+        # Station ids where each boundary slot starts and ends.
+        bounds = np.cumsum([s.m for s in block.slots])[-4:]
+        boundary = 0
+        reordered = False
+        for r, graph in zip(self.RADII, graphs):
+            want = build_adjacency(at_radius(block, r))
+            assert (graph.n_stations, graph.n_users) == (want.n_stations, want.n_users)
+            assert np.array_equal(graph.users, want.users)
+            assert_columns_ascend(graph)
+            assert self._edges(graph) == self._edges(want)
+            reordered |= not np.array_equal(graph.station, want.station)
+            if r < self.BIG:
+                # Its boundary slot keeps the pairs at exactly r and drops
+                # those one float step beyond, which the union holds.
+                lo, hi = bounds[boundary], bounds[boundary + 1]
+                mine = [np.count_nonzero((g.station >= lo) & (g.station < hi)) for g in (graph, union)]
+                assert 0 < mine[0] < mine[1]
+                boundary += 1
+        # The cells follow the largest radius, so a column's stations may
+        # come in another order than a build at the smaller radius gives.
+        assert reordered
+
+    def test_radius_beyond_a_slot_rejected(self):
+        block = self._block(40, 1813)
+        with pytest.raises(ValueError, match="exceeds the radius of a slot"):
+            restrict_adjacency(block, build_adjacency(block), (0.25,))
+
+
 def pairwise_incidence(inst) -> np.ndarray:
     """Dense station x column incidence of one slot, pair by pair."""
     return all_pairs_incidence([inst])
@@ -325,9 +386,8 @@ def check_block(instances, reference=pairwise_incidence):
 
 
 def gbullet_share(lambdas, ns, runs, workers, m=100, p=0.25) -> list[SystemParams]:
-    """The slots of the first share of a Monte Carlo pass over the lambdas,
-    laid out as ``experiments._simulate`` lays them out: in (lambda, point,
-    run) order, every ``workers``-th slot."""
+    """Every ``workers``-th slot of the lambdas' sweeps laid out in
+    (lambda, point, run) order: a share whose radius comes in runs."""
     slots = [
         SystemParams(n=n, m=m, r=math.sqrt(lam / (m * math.pi)), p=p) for lam in lambdas for n in ns for _ in range(runs)
     ]
