@@ -203,24 +203,22 @@ def _run_jobs(work, items, workers: int | None) -> np.ndarray:
     return out
 
 
-def _simulate_runs(slots) -> np.ndarray:
-    """Worker: decode the given slots, in order, at each of their radii.
+def _simulate_runs(seed: int, radii: tuple[float, ...], slots) -> np.ndarray:
+    """Worker: decode the given slots, in order, at each radius of ``radii``.
 
-    Slot ``(params, radii, seed, run)`` is run ``run`` of the grid point with
-    ``params`` and draws from (seed, params.n, run); ``params.r`` is the
-    largest of ``radii``, which every slot of a call shares.  The slots are
-    drawn and decoded ``RUN_BLOCK`` at a time: one ``generate_instance`` call
-    draws a block from the job's substreams, and one graph, the disjoint
-    union of its slots' graphs, is built at ``params.r``.
+    Slot ``(params, run)`` is run ``run`` of the grid point with ``params``
+    and draws from (seed, params.n, run); ``params.r`` is the largest of
+    ``radii``.  The slots are drawn and decoded ``RUN_BLOCK`` at a time: one
+    ``generate_instance`` call draws a block from the job's substreams, and
+    one graph, the disjoint union of its slots' graphs, is built at that r.
     ``restrict_adjacency`` cuts from it the union at each radius, and each
     is decoded whole.  Returns one row per slot: for each radius in order,
     the active users and the users collected by each decoder.
     """
-    radii = slots[0][1]
     counts = []
-    streams = substreams((seed, params.n, run) for params, _, seed, run in slots)
+    streams = substreams((seed, params.n, run) for params, run in slots)
     for start in range(0, len(slots), RUN_BLOCK):
-        block = tuple(params for params, _, _, _ in slots[start : start + RUN_BLOCK])
+        block = tuple(params for params, _ in slots[start : start + RUN_BLOCK])
         instance = generate_instance(block, streams)
         union = build_adjacency(instance)
         # The union's users are the slots' users in order, n per slot.
@@ -246,19 +244,20 @@ def _simulate(configs: list[SweepConfig], workers: int | None) -> list[tuple[np.
     array (points, 3, runs): the per-run active and collected counts of
     ``_simulate_runs`` as three rows, all zero where the point has no users.
     The (point, run) slots of the points with users run on ``_run_jobs``,
-    each drawn once, from (seed, n, run) as a sweep draws it, and decoded at
-    every config's radius; every slot draws its own substream, so the shares
-    change no result, and each config's counts are those of its own sweep.
+    with the seed and the configs' radii bound once to ``_simulate_runs``:
+    each slot is drawn once, from (seed, n, run) as a sweep draws it, and
+    decoded at every radius.  Every slot draws its own substream, so the
+    shares change no result, and each config's counts are its own sweep's.
     """
     first = configs[0]
     runs = first.runs_per_point
     users = np.array([first.realized_users(g) for g in first.g_grid])
     radii = tuple(c.r for c in configs)
     points = [SystemParams(n=n, m=first.m, r=max(radii), p=first.p) for n in users.tolist() if n > 0]
-    slots = [(params, radii, first.seed, run) for params in points for run in range(runs)]
+    slots = [(params, run) for params in points for run in range(runs)]
     counts = np.zeros((len(configs), len(users), 3, runs), dtype=np.int64)
     if slots:
-        rows = _run_jobs(_simulate_runs, slots, workers)
+        rows = _run_jobs(partial(_simulate_runs, first.seed, radii), slots, workers)
         counts[:, users > 0] = rows.reshape(len(points), runs, len(configs), 3).transpose(2, 0, 3, 1)
     return [(users, c) for c in counts]
 

@@ -6,12 +6,12 @@ block of slots straight into one set of arrays, each slot from its own
 generator.  The decoding graph links every station to the active users
 within distance r and is stored as an edge list: per edge, the station and
 the column of the active user it hears.
-``build_adjacency`` builds the graph of one instance, a slot or a block,
-in one pass; a block's graph is the disjoint union of its slots' graphs, so
-that many slots are decoded in one kernel call.  It counts the stations per
-x-cell of each slot and finds each user's candidate stations as the run of
-cells that spans its disk.  ``restrict_adjacency`` cuts the graph at any
-smaller radius from it, so one build serves every radius of a block.
+``build_adjacency`` builds the graph of one instance, a slot or a block of
+slots of one radius r, in one pass; a block's graph is the disjoint union of
+its slots' graphs, so that many slots are decoded in one kernel call.  It
+counts the stations per x-cell of each slot and finds each user's candidate
+stations as the run of cells that spans its disk.  ``restrict_adjacency``
+cuts the graph at any smaller radius from it, so one build serves them all.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _ROUNDING_MARGIN = 2.0**-40
 
 # Most candidate (station, user) pairs that ``build_adjacency`` tests in one
 # chunk, in place, so that a chunk's candidate indices and squared distances
-# stay at a few MB for any number of slots.  A chunk also ends where r changes.
+# stay at a few MB for any number of slots.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -168,11 +168,13 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     slots' graphs: the stations, users and columns of each slot follow those
     of the slots before it, so no edge joins two slots.  Peeling rounds are
     synchronous, so decoding the union decodes each slot as on its own.
+    Every slot of a block has the radius r of its first slot; a block of two
+    radii is rejected.
 
     Each slot's x range is cut into cells of equal width, about
-    ``_CELLS_PER_R`` per smallest r of the block but no more than its largest
-    m, and the stations are ordered by (slot, cell) and counted per cell.  A
-    user tests the stations of the run of its slot's cells that meets
+    ``_CELLS_PER_R`` per r but no more than the block's largest m, and the
+    stations are ordered by (slot, cell) and counted per cell.  A user tests
+    the stations of the run of its slot's cells that meets
     [x - r - margin, x + r + margin], with margin ``_ROUNDING_MARGIN``.  The
     test ``dx*dx + dy*dy <= r**2`` decides each pair, so the edges are those
     of the all-pairs test as long as the run holds every pair the test
@@ -183,16 +185,16 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     Positions off the square fall in the edge cells.  The users are visited
     in column order, so the edges come in ascending column order, as
     ``BipartiteGraph`` requires.  They are taken in chunks of at most
-    ``_PAIR_CHUNK`` candidate pairs, and a chunk ends where r changes from
-    one slot to the next: the whole chunk is tested in place against the one
-    ``r**2`` of its slots, with the operations of the test above in the same
-    order, so every edge is decided as by that test.
+    ``_PAIR_CHUNK`` candidate pairs, each tested in place with the
+    operations of the test above, in the same order.
     """
     slots = instance.slots
+    r = slots[0].r
+    if any(s.r != r for s in slots):
+        raise ValueError(f"every slot of a block must have the radius {r} of its first slot")
     n_users = [s.n for s in slots]
     n_stations = [s.m for s in slots]
-    radius = np.array([s.r for s in slots])
-    cells = min(math.ceil(_CELLS_PER_R / radius.min()), max(n_stations))
+    cells = min(math.ceil(_CELLS_PER_R / r), max(n_stations))
     n_cells = len(slots) * cells
     first_cell = np.arange(0, n_cells, cells)
 
@@ -211,11 +213,9 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
 
     users = np.flatnonzero(instance.active)
     ux, uy = (xy[users] for xy in instance.user_xy.T)
-    # Per active user: its slot's first cell and half-width of window.
-    bounds = np.searchsorted(users, np.cumsum([0, *n_users]))
-    active_per_slot = bounds[1:] - bounds[:-1]
-    base = np.repeat(first_cell, active_per_slot)
-    reach = np.repeat(radius + _ROUNDING_MARGIN, active_per_slot)
+    # Per active user: its slot's first cell.
+    base = np.repeat(first_cell, np.diff(np.searchsorted(users, np.cumsum([0, *n_users]))))
+    reach = r + _ROUNDING_MARGIN
     lo = starts[base + cell_of(ux - reach)]
     counts = starts[base + cell_of(ux + reach) + 1] - lo
 
@@ -223,57 +223,54 @@ def build_adjacency(instance: NetworkInstance) -> BipartiteGraph:
     # ends[i]; pair f of user i tests the sorted station f + shift[i].
     ends = np.cumsum(counts)
     shift = lo - (ends - counts)
-    # Slots k0 up to k1 are a run of one r; its users end at bounds[k1].
-    changes = [k for k in range(1, len(slots)) if slots[k].r != slots[k - 1].r]
+    r2 = r**2
     empty = np.zeros(0, dtype=np.intp)
     stations, columns = [empty], [empty]
     i0 = 0
-    for k0, k1 in zip([0, *changes], [*changes, len(slots)]):
-        r2 = slots[k0].r ** 2
-        stop = int(bounds[k1])
-        while i0 < stop:
-            first = ends[i0] - counts[i0]
-            i1 = min(stop, max(i0 + 1, int(np.searchsorted(ends, first + _PAIR_CHUNK, side="right"))))
-            reps = counts[i0:i1]
-            cand = np.repeat(shift[i0:i1], reps)
-            cand += np.arange(first, ends[i1 - 1])
-            dx = sx[cand]
-            dx -= np.repeat(ux[i0:i1], reps)
-            dx *= dx
-            dy = sy[cand]
-            dy -= np.repeat(uy[i0:i1], reps)
-            dy *= dy
-            dx += dy
-            hit = np.flatnonzero(dx <= r2)
-            stations.append(order[cand[hit]])
-            columns.append(np.repeat(np.arange(i0, i1), reps)[hit])
-            i0 = i1
+    while i0 < users.size:
+        first = ends[i0] - counts[i0]
+        i1 = max(i0 + 1, int(np.searchsorted(ends, first + _PAIR_CHUNK, side="right")))
+        reps = counts[i0:i1]
+        cand = np.repeat(shift[i0:i1], reps)
+        cand += np.arange(first, ends[i1 - 1])
+        dx = sx[cand]
+        dx -= np.repeat(ux[i0:i1], reps)
+        dx *= dx
+        dy = sy[cand]
+        dy -= np.repeat(uy[i0:i1], reps)
+        dy *= dy
+        dx += dy
+        hit = np.flatnonzero(dx <= r2)
+        stations.append(order[cand[hit]])
+        columns.append(np.repeat(np.arange(i0, i1), reps)[hit])
+        i0 = i1
     return BipartiteGraph(sum(n_stations), sum(n_users), users, np.concatenate(stations), np.concatenate(columns))
 
 
 def restrict_adjacency(instance: NetworkInstance, graph: BipartiteGraph, radii) -> list[BipartiteGraph]:
     """The graph of ``instance`` at each radius of ``radii``, cut from ``graph = build_adjacency(instance)``.
 
-    No radius may exceed the r of a slot of ``instance``; at a radius equal
-    to every slot's r the graph is ``graph`` itself.  At a smaller r an edge
-    stays if ``dx*dx + dy*dy <= r**2``, its squared distance worked out from
-    its station's and its user's positions with the operations of the pair
-    test of ``build_adjacency``, in the same order.  So the test value is
-    the one ``build_adjacency`` compared, and every pair within r is an edge
-    of ``graph``, since r**2 is at most each slot's rounded r**2: the edges
-    are those that ``build_adjacency`` finds at r, in ascending column
-    order.  Only the order of a column's stations may differ, as ``graph``'s
-    cells follow the larger r; no round of ``decoders._peel`` depends on it.
+    No radius may exceed the block's one r; at that r the graph is ``graph``
+    itself.  At a smaller r an edge stays if ``dx*dx + dy*dy <= r**2``, its
+    squared distance worked out from its station's and its user's positions
+    with the operations of the pair test of ``build_adjacency``, in the same
+    order.  So the test value is the one ``build_adjacency`` compared, and
+    every pair within r is an edge of ``graph``, since r**2 is at most the
+    block's rounded r**2: the edges are those that ``build_adjacency`` finds
+    at r, in ascending column order.  Only the order of a column's stations
+    may differ, as ``graph``'s cells follow the larger r; no round of
+    ``decoders._peel`` depends on it.
     """
-    slots = instance.slots
+    built = instance.slots[0].r
     graphs = []
     d2 = None
     for r in radii:
-        if all(s.r == r for s in slots):
+        if r == built:
             graphs.append(graph)
             continue
-        if not all(r <= s.r for s in slots):
-            raise ValueError(f"radius {r} exceeds the radius of a slot")
+        # Written so that NaN fails too.
+        if not r <= built:
+            raise ValueError(f"radius {r} exceeds the block's radius {built}")
         if d2 is None:
             # np.take gathers rows several times faster than indexing does.
             d = np.take(instance.station_xy, graph.station, axis=0)

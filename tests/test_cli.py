@@ -163,7 +163,7 @@ from mbaloha import cli, experiments
 parent = os.getpid()
 simulate_runs = experiments._simulate_runs
 
-def misbehave(slots):
+def misbehave(seed, radii, slots):
     mode = sys.argv[1]
     if os.getpid() == parent:
         if mode == "stop":
@@ -174,7 +174,7 @@ def misbehave(slots):
         os._exit(3)
     elif mode == "stop":
         time.sleep(60)
-    return simulate_runs(slots)
+    return simulate_runs(seed, radii, slots)
 
 experiments._simulate_runs = misbehave
 code = cli.main(["gbullet", "--m", "10", "--p", "0.5", "--grid", "0:0.2:0.1", "--runs", "3",

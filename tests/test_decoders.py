@@ -38,6 +38,7 @@ from topologies import (
     three_round_chain_instance,
     twice_alone_late,
     two_station_chain,
+    union_of,
 )
 
 small_params = st.builds(
@@ -328,8 +329,9 @@ class TestDisjointUnion:
         )
         instances.insert(4, far)
         instances.append(three_round_chain_instance())
+        # Their radii differ, so each graph is built alone and the graphs joined.
         graphs = [build_adjacency(inst) for inst in instances]
-        union = build_adjacency(block_of(*instances))
+        union = union_of(*graphs)
         rounds = peel(union)
         nc_union = decode_noncooperative(union)
         coop_union = decode_cooperative(union)

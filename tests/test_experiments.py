@@ -36,17 +36,19 @@ def sweep_alphas():
 @pytest.fixture
 def counting_pool(monkeypatch):
     """Swaps the process pool for one that runs ``map`` in this process;
-    returns the executors opened while the test runs, each with its jobs and
-    the worker count it was asked for."""
+    returns the executors opened while the test runs, each with its work
+    function, its jobs and the worker count it was asked for."""
     opened = []
 
     class CountingExecutor:
         def __init__(self, max_workers=None):
             self.max_workers = max_workers
+            self.fn = None
             self.jobs = []
             opened.append(self)
 
         def map(self, fn, iterable, chunksize=1):
+            self.fn = fn
             self.jobs = list(iterable)
             return [fn(job) for job in self.jobs]
 
@@ -298,17 +300,18 @@ class TestEstimateGbullet:
         [pool] = counting_pool
         jobs = pool.jobs
         assert len(jobs) == pool.max_workers == 2
-        # Slots are (params, radii, seed, run), in (point, run) order: the
-        # two shares take the even and the odd slots.
-        assert [run for pair in zip(*jobs) for *_, run in pair] == list(range(12)) * 3
+        # Slots are (params, run), in (point, run) order: the two shares take
+        # the even and the odd slots.
+        assert [run for pair in zip(*jobs) for _, run in pair] == list(range(12)) * 3
         # Every slot serves every lambda, drawn from the config's seed and
         # built at the largest radius.
         radii = tuple(replace(cfg, lambda_target=lam).r for lam in lambdas)
-        for params, slot_radii, seed, _ in (slot for job in jobs for slot in job):
-            assert (slot_radii, params.r, seed) == (radii, max(radii), cfg.seed)
+        assert pool.fn.func is experiments._simulate_runs
+        assert (pool.fn.args, pool.fn.keywords) == ((cfg.seed, radii), {})
+        assert all(params.r == max(radii) for job in jobs for params, _ in job)
         # Every job's users lie within one slot's users of an equal share.
-        users = [sum(params.n for params, *_ in job) for job in jobs]
-        largest = max(params.n for job in jobs for params, *_ in job)
+        users = [sum(params.n for params, _ in job) for job in jobs]
+        largest = max(params.n for job in jobs for params, _ in job)
         assert all(abs(u - sum(users) / len(jobs)) < largest for u in users)
         assert sum(users) == 12 * sum(cfg.realized_users(g) for g in cfg.g_grid)
 

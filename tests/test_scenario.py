@@ -144,7 +144,7 @@ class TestBlockDraw:
         self._assert_slots_equal(generate_instance(params, self._streams(slots)), [first, second])
 
     def test_all_users_adjacency_of_a_block(self):
-        slots = ((SystemParams(n=6, m=3, r=0.2, p=0.3), 1), (SystemParams(n=4, m=2, r=0.25, p=0.5), 2))
+        slots = ((SystemParams(n=6, m=3, r=0.2, p=0.3), 1), (SystemParams(n=4, m=2, r=0.2, p=0.5), 2))
         block = generate_instance(tuple(one for one, _ in slots), self._streams(slots))
         singles = [self._one_slot(one, run) for one, run in slots]
         everyone = [dataclasses.replace(inst, active=np.ones(inst.params.n, bool)) for inst in singles]
@@ -262,22 +262,20 @@ class TestBlockAdjacency:
     def test_exact_distance_pairs_alone(self, r):
         assert check_block([boundary_instance(r)]).station.size > 0
 
-    # The slots before the last have radius r, or the next radius of the
-    # list, larger or smaller: the last slot's pairs at exactly r and one
-    # float step beyond are then decided by the last run's r**2 alone.
-    @pytest.mark.parametrize(
-        "r, before",
-        [pytest.param(r, r, id=f"{r}") for r in EXACT_RADII]
-        + [pytest.param(r, b, id=f"{r}-after-{b}") for r, b in zip(EXACT_RADII, EXACT_RADII[1:] + EXACT_RADII[:1])],
-    )
-    def test_exact_distance_pairs_in_last_of_128_slots(self, r, before):
+    # The block's candidate pairs are fewer than _PAIR_CHUNK; chunks of 16
+    # pairs put chunk ends all through it, so the last slot's pairs at
+    # exactly r and one float step beyond are decided after many of them.
+    @pytest.mark.parametrize("r", EXACT_RADII)
+    def test_exact_distance_pairs_in_last_of_128_slots(self, r, monkeypatch):
+        chunk = 16
+        monkeypatch.setattr("mbaloha.scenario._PAIR_CHUNK", chunk)
         rng = rng_from(77)
-        instances = [generate_instance(SystemParams(n=12, m=6, r=before, p=0.5), rng) for _ in range(125)]
-        silent = generate_instance(SystemParams(n=5, m=4, r=before, p=0.5), rng)
+        instances = [generate_instance(SystemParams(n=12, m=6, r=r, p=0.5), rng) for _ in range(125)]
+        silent = generate_instance(SystemParams(n=5, m=4, r=r, p=0.5), rng)
         no_users = NetworkInstance(silent.params, silent.user_xy, silent.station_xy, np.zeros(5, dtype=bool))
         # Active users in one corner, stations in the opposite one: no edge.
         far = NetworkInstance(
-            SystemParams(n=3, m=2, r=before, p=1.0),
+            SystemParams(n=3, m=2, r=r, p=1.0),
             np.full((3, 2), -0.5),
             np.full((2, 2), 0.5),
             np.ones(3, dtype=bool),
@@ -285,7 +283,14 @@ class TestBlockAdjacency:
         instances = [no_users, *instances, far, boundary_instance(r)]
         assert len(instances) == 128
         union = check_block(instances)
+        assert union.station.size > 2 * chunk
         assert (union.station >= union.n_stations - instances[-1].params.m).any()
+
+    def test_block_of_two_radii_rejected(self):
+        one = generate_instance(SystemParams(n=8, m=4, r=0.1, p=0.5), rng_from(78))
+        other = dataclasses.replace(one, params=dataclasses.replace(one.params, r=0.2))
+        with pytest.raises(ValueError, match="must have the radius 0.1 of its first slot"):
+            build_adjacency(block_of(one, one, other))
 
 
 def at_radius(instance: NetworkInstance, r: float) -> NetworkInstance:
@@ -344,7 +349,7 @@ class TestRestrictAdjacency:
 
     def test_radius_beyond_a_slot_rejected(self):
         block = self._block(40, 1813)
-        with pytest.raises(ValueError, match="exceeds the radius of a slot"):
+        with pytest.raises(ValueError, match=f"radius 0.25 exceeds the block's radius {self.BIG}"):
             restrict_adjacency(block, build_adjacency(block), (0.25,))
 
 
@@ -385,50 +390,15 @@ def check_block(instances, reference=pairwise_incidence):
     return union
 
 
-def gbullet_share(lambdas, ns, runs, workers, m=100, p=0.25) -> list[SystemParams]:
-    """Every ``workers``-th slot of the lambdas' sweeps laid out in
-    (lambda, point, run) order: a share whose radius comes in runs."""
-    slots = [
-        SystemParams(n=n, m=m, r=math.sqrt(lam / (m * math.pi)), p=p) for lam in lambdas for n in ns for _ in range(runs)
-    ]
-    return slots[::workers]
-
-
-def cells_per_slot(instances) -> int:
-    """The x-cells of each slot of ``build_adjacency``: about ``_CELLS_PER_R``
-    per smallest r, but no more than the largest m."""
-    return min(math.ceil(_CELLS_PER_R / min(i.params.r for i in instances)), max(i.params.m for i in instances))
+def cells_per_slot(r: float, m: int) -> int:
+    """The x-cells of each slot of ``build_adjacency`` at radius r: about
+    ``_CELLS_PER_R`` per r, but no more than the block's largest m."""
+    return min(math.ceil(_CELLS_PER_R / r), m)
 
 
 class TestCellWindows:
     """The per-slot x-cell windows of ``build_adjacency`` keep every edge of
     the all-pairs test, wherever the cell edges fall."""
-
-    def test_block_mixing_the_radii_of_gbullet(self):
-        # One radius per lambda, slot by slot; the cells follow the smallest.
-        rng = rng_from(1803)
-        params = [SystemParams(n=400, m=100, r=math.sqrt(lam / (100 * math.pi)), p=0.25) for lam in (2, 3, 4, 6)]
-        instances = [generate_instance(params[k % 4], rng) for k in range(128)]
-        assert check_block(instances, dense_incidence).station.size > 2 * _PAIR_CHUNK
-        # Blocks of a strided share: the radius comes in runs, changes
-        # mid-block and returns to an earlier radius, and the slot at each
-        # change has no active users.  The small slots' candidate pairs are
-        # fewer than _PAIR_CHUNK, so a chunk that ignored r would span the
-        # whole block; the large ones' fill about nine chunks.
-        for lambdas, ns in [((2, 6, 2), (2, 4, 6, 8)), ((3, 6, 3), (240, 320))]:
-            share = gbullet_share(lambdas, ns, runs=64 // len(ns), workers=2)
-            instances = [generate_instance(params, rng) for params in share]
-            changes = [k for k in range(1, len(share)) if share[k].r != share[k - 1].r]
-            assert changes == [32, 64] and share[0].r == share[-1].r
-            for k in changes:
-                inst = instances[k]
-                instances[k] = NetworkInstance(inst.params, inst.user_xy, inst.station_xy, np.zeros_like(inst.active))
-            pairs = sum(int(inst.active.sum()) * inst.params.m for inst in instances)
-            assert pairs < _PAIR_CHUNK if ns[0] < 100 else pairs > 8 * _PAIR_CHUNK
-            union = check_block(instances, dense_incidence)
-            # Every run of one radius has edges.
-            slot = np.searchsorted(np.cumsum([inst.params.m for inst in instances]), union.station, side="right")
-            assert np.unique(np.searchsorted(changes, slot, side="right")).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("r", [0.125, 0.1, math.sqrt(6 / (100 * math.pi)), 0.0123])
     def test_window_ends_on_cell_edges(self, r):
@@ -440,7 +410,7 @@ class TestCellWindows:
         edges = [-0.5 + j / cells for j in {*range(0, cells, max(1, cells // 16)), cells}]
         xs = sorted({x for e in edges for x in (e + r, e - r) if abs(x) <= 0.5})
         inst = boundary_instance(r, xs)
-        assert cells_per_slot([inst]) == cells
+        assert cells_per_slot(r, inst.params.m) == cells
         if r == 0.125:
             assert cells == 32 and all((x + 0.5) * 32 == round((x + 0.5) * 32) for x in xs)
         assert check_block([inst]).station.size > 0
@@ -452,7 +422,7 @@ class TestCellWindows:
         rng = rng_from(1805)
         instances = [generate_instance(SystemParams(n=30, m=2000, r=r, p=0.5), rng) for _ in range(127)]
         instances.append(boundary_instance(r))
-        assert len(instances) * cells_per_slot(instances) > 2**16
+        assert len(instances) * cells_per_slot(r, max(i.params.m for i in instances)) > 2**16
         union = check_block(instances, dense_incidence)
         assert (union.station >= union.n_stations - instances[-1].params.m).sum() > 0
         assert (union.station < union.n_stations - instances[-1].params.m).sum() > 100
@@ -514,10 +484,11 @@ class TestEdgeOrder:
 
 
 class TestDisjointUnion:
-    @given(st.lists(st.tuples(small_params, st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+    @given(st.floats(0.02, 0.25), st.lists(st.tuples(small_params, st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
     @settings(max_examples=30)
-    def test_offsets_keep_graphs_apart(self, draws):
-        instances = [generate_instance(params, rng_from(seed)) for params, seed in draws]
+    def test_offsets_keep_graphs_apart(self, r, draws):
+        # One r per block; n, m and p stay free per slot.
+        instances = [generate_instance(dataclasses.replace(params, r=r), rng_from(seed)) for params, seed in draws]
         graphs = [build_adjacency(inst) for inst in instances]
         union = build_adjacency(block_of(*instances))
         assert np.array_equal(incidence(union), all_pairs_incidence(instances))

@@ -3,8 +3,10 @@
 Every public top-level function and class of ``src/mbaloha/*.py`` (but
 ``__init__``), and every public method and annotated field of each class,
 must appear as a word somewhere in ``src/`` besides its own definition, or
-in ``scripts/`` or ``perfbench/``.  A name that only tests read belongs in
-``tests/``.  The few exceptions are listed with their reasons.
+in ``scripts/`` or ``perfbench/``.  Every private module-level function and
+constant must be read in ``src/`` outside its own definition.  A name that
+only tests read belongs in ``tests/``.  The few exceptions are listed with
+their reasons.
 """
 
 import ast
@@ -78,6 +80,46 @@ def test_allowlist_is_current():
     # An allowed name that gained a caller, or no longer exists, leaves the list.
     flagged = {name.rpartition(".")[2] for name in _unused()}
     assert flagged >= set(ALLOWED)
+
+
+def _private_definitions() -> dict[str, list[tuple[str, ast.stmt]]]:
+    """Each private module-level function and constant name of ``src/``, with
+    the (module, statement) pairs that define it; dunder names are left out."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    found.setdefault(name, []).append((path.stem, node))
+    return found
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``, bare or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    )
+
+
+def test_every_private_name_is_read_in_src():
+    reads = Counter()
+    for path in SRC.glob("*.py"):
+        reads.update(_reads(ast.parse(path.read_text())))
+    unread = []
+    for name, definitions in sorted(_private_definitions().items()):
+        own = sum(_reads(node)[name] for _, node in definitions)
+        if reads[name] <= own:
+            unread += [f"{module}.{name}" for module, _ in definitions]
+    assert unread == [], f"private names no code in src/ reads; move them to tests/ or delete them: {unread}"
 
 
 def test_package_root_holds_only_version():

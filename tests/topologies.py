@@ -1,6 +1,7 @@
 """Hand-built decoding graphs with hand-executed expected outcomes, two
 peeling decoders used as differential references: a sequential one and a
-round-by-round one, and ``block_of``, which joins instances into one block."""
+round-by-round one, ``block_of``, which joins instances into one block, and
+``union_of``, which joins graphs into one."""
 
 import numpy as np
 
@@ -26,6 +27,21 @@ def block_of(*instances: NetworkInstance) -> NetworkInstance:
         np.concatenate([inst.user_xy for inst in instances]),
         np.concatenate([inst.station_xy for inst in instances]),
         np.concatenate([inst.active for inst in instances]),
+    )
+
+
+def union_of(*graphs: BipartiteGraph) -> BipartiteGraph:
+    """The disjoint union of the graphs: the stations, users and columns of
+    each follow those of the graphs before it, so no edge joins two graphs."""
+    stations = np.cumsum([0] + [g.n_stations for g in graphs])
+    users = np.cumsum([0] + [g.n_users for g in graphs])
+    columns = np.cumsum([0] + [g.users.size for g in graphs])
+    return BipartiteGraph(
+        int(stations[-1]),
+        int(users[-1]),
+        np.concatenate([g.users + o for g, o in zip(graphs, users)]),
+        np.concatenate([g.station + o for g, o in zip(graphs, stations)]),
+        np.concatenate([g.column + o for g, o in zip(graphs, columns)]),
     )
 
 
